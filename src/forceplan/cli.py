@@ -20,16 +20,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .domains import bottle, nut
+from .domains import DOMAINS, bottle
+from .domains.scene import plan_summary
 from .planner import format_plan, plan_to_dict, solve
 from .robustness import cost_from_probability, success_probability
 from .scenario import ConfigError, load_scenario, resolve_stage
 
-_DOMAINS = {"bottle-cap": bottle, "nut-fastening": nut}
-
 
 def _build(resolved):
-    module = _DOMAINS[resolved.domain]
+    module = DOMAINS[resolved.domain]
     world = module.build_world(resolved.scene, resolved.operation)
     problem, names = module.build_problem(
         world, resolved.spec, seed=resolved.seed, disable=resolved.disable
@@ -38,7 +37,7 @@ def _build(resolved):
 
 
 def _solve_stage(resolved):
-    module, world, problem, names = _build(resolved)
+    _, _, problem, names = _build(resolved)
     start = time.perf_counter()
     result = solve(
         problem,
@@ -47,7 +46,7 @@ def _solve_stage(resolved):
         max_expansions=resolved.budget["max_expansions"],
     )
     wall = time.perf_counter() - start
-    return problem, result, module.plan_summary(result, names), wall
+    return problem, result, plan_summary(result, names), wall
 
 
 def _stage_index(scenario, stage_arg: str) -> int:
@@ -101,17 +100,18 @@ def cmd_solve(args) -> int:
 
 def cmd_ablate(args) -> int:
     scenario = load_scenario(args.scenario)
+    # Resolve every stage first, so a bad override fails before any solve.
+    stages = [resolve_stage(scenario, i) for i in range(len(scenario.stages))]
     rows = []
     all_solved = True
-    for index, stage in enumerate(scenario.stages):
-        resolved = resolve_stage(scenario, index)
+    for resolved in stages:
         if args.seed is not None:
             resolved = replace(resolved, seed=args.seed)
         _, result, summary, wall = _solve_stage(resolved)
         all_solved &= result.solved
         rows.append(
             {
-                "stage": stage.name,
+                "stage": resolved.name,
                 "solved": int(result.solved),
                 "steps": summary["steps"],
                 "strategy": summary["strategy"],
@@ -121,7 +121,7 @@ def cmd_ablate(args) -> int:
             }
         )
         label = f"{summary['strategy']}/{summary['route']}" if result.solved else "-"
-        print(f"{stage.name}: steps={summary['steps']} {label} ({wall:.1f}s)")
+        print(f"{resolved.name}: steps={summary['steps']} {label} ({wall:.1f}s)")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -159,7 +159,7 @@ def _bottle_rows(world, resolved, spec):
     routes = [
         r
         for r in bottle.ROUTES
-        if r not in resolved.disable and bottle._route_available(world, r)
+        if r not in resolved.disable and world.route_available(r)
     ]
     levels = resolved.operation["extra_force_levels"]
     rows = []

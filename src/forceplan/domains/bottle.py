@@ -15,16 +15,26 @@ small grid.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..planner import ActionSchema, Problem, Stream, ValueRegistry
 from ..robustness import PerturbationSpec, chain_cost
 from ..spatial import Transform, Wrench, rot_z
-from ..stability import GRAVITY, ArmJoint, ForcefulKinematicChain, RigidJoint
-from .scene import Scene, pad_frame, pad_grasp_joint, support_patch_joint, tool_down_rotation
+from ..stability import GRAVITY, ForcefulKinematicChain, RigidJoint
+from .scene import (
+    World,
+    common_schemas,
+    connect_stream,
+    grasp_streams,
+    pad_frame,
+    pad_grasp_joint,
+    pinch_grasp,
+    reach_stream,
+    support_patch_joint,
+    tool_down_rotation,
+    twist_cost_fn,
+    twist_schemas,
+)
 
 __all__ = [
     "SCENE_DEFAULTS",
@@ -32,11 +42,9 @@ __all__ = [
     "HAND_STRATEGIES",
     "STRATEGIES",
     "ROUTES",
-    "GraspSpec",
     "BottleWorld",
     "build_world",
     "build_problem",
-    "plan_summary",
 ]
 
 SCENE_DEFAULTS = {
@@ -88,36 +96,71 @@ STRATEGIES = HAND_STRATEGIES + ("twist-tool",)
 ROUTES = ("table-friction", "mat-friction", "arm-hold", "vise-hold")
 
 
-@dataclass(frozen=True)
-class GraspSpec:
-    """Hand pose relative to the object, plus a label for reporting."""
+# Carried object -> (mass key, hand friction pair, grasp height key).
+_CARRIED = {
+    "bottle": ("bottle_mass", "hand-bottle", "grasp_height"),
+    "tool": ("tool_mass", "hand-tool", "tool_grasp_height"),
+}
 
-    offset: Transform
-    label: str
+# Strategy -> (friction pair, radius key) of its patch on the cap.  The
+# wrap grip squeezes the cap's rim; every other strategy presses on top,
+# so its patch carries the push force.
+_CAP_PATCHES = {
+    "wrap-grip": ("hand-cap", "cap_radius"),
+    "palm-press": ("palm-cap", "palm_radius"),
+    "fingertip-press": ("fingertip-cap", "fingertip_radius"),
+    "twist-tool": ("tool-cap", "tool_tip_radius"),
+}
 
-    def to_dict(self) -> dict:
-        return {"offset": self.offset.to_dict(), "label": self.label}
+# (params, static, fluent) fragments of the twist schemas.
+_HAND_TWIST = (
+    ("?a", "?p", "?q", "?e"),
+    (("TwistReady", "?a", "?p", "?q"), ("Force", "?e")),
+    (("AtPose", "bottle", "?p"), ("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
+)
+_STRATEGY_PARTS = {s: _HAND_TWIST for s in HAND_STRATEGIES} | {
+    "twist-tool": (
+        ("?a", "?p", "?g", "?q", "?e"),
+        (("ToolTwistReady", "?a", "?p", "?g", "?q"), ("Force", "?e")),
+        (
+            ("AtPose", "bottle", "?p"),
+            ("AtConf", "?a", "?q"),
+            ("Holding", "?a", "tool", "?g"),
+        ),
+    ),
+}
+_ROUTE_PARTS = {
+    "table-friction": ((), (("Placement", "bottle", "?p", "table"),), ()),
+    "mat-friction": ((), (("Placement", "bottle", "?p", "mat"),), ()),
+    "arm-hold": (("?h",), (("Arm", "?h"),), (("SteadyHold", "bottle", "?h"),)),
+    "vise-hold": (
+        (), (("Placement", "bottle", "?p", "vise"),), (("ViseSecured", "bottle"),)
+    ),
+}
 
-    @staticmethod
-    def from_dict(d: dict) -> "GraspSpec":
-        return GraspSpec(Transform.from_dict(d["offset"]), d["label"])
 
-
-class BottleWorld:
+class BottleWorld(World):
     """Scene geometry plus the chain builders for every strategy and route."""
 
     def __init__(self, cfg: dict, op: dict):
-        self.cfg = cfg
-        self.op = op
-        self.scene = Scene(friction=dict(cfg["friction"]))
-        for name in cfg["arms"]:
-            self.scene.add_arm(name, cfg["arm_bases"][name])
+        super().__init__(cfg, op)
         self.bottle_pose = Transform(
             np.eye(3), np.array([cfg["bottle_xy"][0], cfg["bottle_xy"][1], 0.0])
         )
         self.tool_pose = Transform(
             np.eye(3), np.array([cfg["tool_xy"][0], cfg["tool_xy"][1], 0.0])
         )
+
+    def route_available(self, route: str) -> bool:
+        """Whether the scene has what ``route`` needs (mat, vise, second arm)."""
+        cfg = self.cfg
+        if route == "mat-friction":
+            return bool(cfg["mat"]) or cfg["start_surface"] == "mat"
+        if route == "vise-hold":
+            return bool(cfg["vise"])
+        if route == "arm-hold":
+            return len(cfg["arms"]) >= 2
+        return True
 
     # ---- geometry helpers -------------------------------------------------
 
@@ -139,25 +182,8 @@ class BottleWorld:
         )
         return Transform(tool_down_rotation(), ee)
 
-    def grasp_target(self, obj: str, pose: Transform, grasp: GraspSpec) -> Transform:
-        return Transform(
-            pose.rotation @ grasp.offset.rotation,
-            pose.translation + pose.rotation @ grasp.offset.translation,
-        )
-
-    def object_grasp(self, obj: str) -> GraspSpec:
-        if obj == "bottle":
-            offset = Transform(
-                tool_down_rotation(), np.array([0.0, 0.0, self.cfg["grasp_height"]])
-            )
-        elif obj == "tool":
-            offset = Transform(
-                tool_down_rotation(),
-                np.array([0.0, 0.0, self.cfg["tool_grasp_height"]]),
-            )
-        else:
-            raise KeyError(obj)
-        return GraspSpec(offset, f"pinch-{obj}")
+    def object_grasp(self, obj: str):
+        return pinch_grasp(obj, self.cfg[_CARRIED[obj][2]])
 
     # ---- chains -----------------------------------------------------------
 
@@ -168,64 +194,32 @@ class BottleWorld:
             frame="cap",
         )
 
-    def _arm_link(self, arm_name: str, q, app_to_ee_world=(0.0, 0.0, 0.0)):
-        # Arm bases are axis-aligned with the world, so the torque check
-        # frame only shifts the moment origin to the end effector.
-        joint = ArmJoint(self.scene.arms[arm_name], np.asarray(q, dtype=float))
-        t = Transform(np.eye(3), -np.asarray(app_to_ee_world, dtype=float))
-        return joint, t
-
     def twist_chain(self, strategy: str, extra: float, arm_name: str, q):
         """Hand-side chain for one twist variant, rooted at the cap."""
-        push = self.op["push_force"] + extra
         cfg = self.cfg
-        joints = []
-        gravity = []
+        pair, radius = _CAP_PATCHES[strategy]
+        push = self.op["push_force"] + extra
         if strategy == "wrap-grip":
-            patch = support_patch_joint(
-                self.scene.mu("hand-cap"), cfg["cap_radius"], cfg["grip_force"],
-                contact_frame="cap",
-            )
-            joints.append((patch, Transform.identity()))
-            gravity.append(None)
-            ee_offset = (0.0, 0.0, 0.0)
-        elif strategy == "palm-press":
-            patch = support_patch_joint(
-                self.scene.mu("palm-cap"), cfg["palm_radius"], push, coupled=push,
-                contact_frame="cap",
-            )
-            joints.append((patch, Transform.identity()))
-            gravity.append(None)
-            ee_offset = (0.0, 0.0, 0.0)
-        elif strategy == "fingertip-press":
-            patch = support_patch_joint(
-                self.scene.mu("fingertip-cap"), cfg["fingertip_radius"], push,
-                coupled=push, contact_frame="cap",
-            )
-            joints.append((patch, Transform.identity()))
-            gravity.append(None)
-            ee_offset = (0.0, 0.0, 0.0)
-        elif strategy == "twist-tool":
-            tip = support_patch_joint(
-                self.scene.mu("tool-cap"), cfg["tool_tip_radius"], push, coupled=push,
-                contact_frame="cap",
-            )
-            joints.append((tip, Transform.identity()))
-            gravity.append(None)
+            normal, coupled = cfg["grip_force"], 0.0
+        else:
+            normal, coupled = push, push
+        patch = support_patch_joint(
+            self.scene.mu(pair), cfg[radius], normal, coupled=coupled, contact_frame="cap"
+        )
+        joints = [(patch, Transform.identity())]
+        gravity = [None]
+        ee_offset = (0.0, 0.0, 0.0)
+        if strategy == "twist-tool":
             pads, preload = pad_grasp_joint(
                 self.scene.mu("hand-tool"),
                 cfg["tool_pad_half_extents"],
                 cfg["tool_grip_force"],
                 contact_frame="tool_pads",
             )
-            rise = (0.0, 0.0, cfg["tool_tip_below_pads"])
-            joints.append((pads, pad_frame([1.0, 0.0, 0.0], rise)))
+            ee_offset = (0.0, 0.0, cfg["tool_tip_below_pads"])
+            joints.append((pads, pad_frame([1.0, 0.0, 0.0], ee_offset)))
             gravity.append(preload)
-            ee_offset = rise
-        else:
-            raise KeyError(strategy)
-        arm_joint, arm_t = self._arm_link(arm_name, q, ee_offset)
-        joints.append((arm_joint, arm_t))
+        joints.append(self.arm_link(arm_name, q, ee_offset))
         gravity.append(None)
         chain = ForcefulKinematicChain("cap", tuple(joints), tuple(gravity))
         return chain, self.cap_wrench(extra)
@@ -254,41 +248,14 @@ class BottleWorld:
 
     def grasp_hold_chain(self, obj: str, arm_name: str, q):
         """Carrying an object in the pinch grasp, loaded by its own weight."""
-        cfg = self.cfg
-        if obj == "bottle":
-            mass, mu, grasp_z = cfg["bottle_mass"], self.scene.mu("hand-bottle"), cfg["grasp_height"]
-        elif obj == "tool":
-            mass, mu, grasp_z = cfg["tool_mass"], self.scene.mu("hand-tool"), cfg["tool_grasp_height"]
-        else:
-            raise KeyError(obj)
-        pads, preload = pad_grasp_joint(
-            mu, cfg["hand_pad_half_extents"], cfg["grip_force"], contact_frame="pads"
+        mass, pair, height = _CARRIED[obj]
+        return self.pinch_carry_chain(
+            self.cfg[mass], self.scene.mu(pair), self.cfg[height], arm_name, q
         )
-        com_height = grasp_z / 2.0
-        to_pads = (0.0, 0.0, grasp_z - com_height)
-        joints = [(pads, pad_frame([1.0, 0.0, 0.0], to_pads))]
-        gravity = [preload]
-        arm_joint, arm_t = self._arm_link(arm_name, q, to_pads)
-        joints.append((arm_joint, arm_t))
-        gravity.append(None)
-        chain = ForcefulKinematicChain("obj", tuple(joints), tuple(gravity))
-        w = Wrench([0.0, 0.0, -mass * GRAVITY], [0.0, 0.0, 0.0], frame="obj")
-        return chain, w
 
 
 def build_world(scene_cfg: dict, op_cfg: dict) -> BottleWorld:
     return BottleWorld(scene_cfg, op_cfg)
-
-
-def _route_available(world: BottleWorld, route: str) -> bool:
-    cfg = world.cfg
-    if route == "mat-friction":
-        return bool(cfg["mat"]) or cfg["start_surface"] == "mat"
-    if route == "vise-hold":
-        return bool(cfg["vise"])
-    if route == "arm-hold":
-        return len(cfg["arms"]) >= 2
-    return True
 
 
 def build_problem(
@@ -306,14 +273,7 @@ def build_problem(
     disable = set(disable)
     registry = ValueRegistry()
 
-    statics = []
-    init = []
-    values_q0 = {}
-    for arm_name in cfg["arms"]:
-        q0 = registry.add("conf", world.scene.initial_configs[arm_name])
-        values_q0[arm_name] = q0
-        statics += [("Arm", arm_name), ("Conf", arm_name, q0)]
-        init += [("AtConf", arm_name, q0), ("HandEmpty", arm_name)]
+    statics, init = world.arm_facts(registry)
     p0 = registry.add("pose", world.bottle_pose)
     statics += [
         ("Pose", "bottle", p0),
@@ -348,145 +308,59 @@ def build_problem(
             return []
         return [(Transform(np.eye(3), np.array([xy[0], xy[1], 0.0])),)]
 
-    def sample_grasp(binding, attempt, rng):
-        if attempt > 0:
-            return []
-        return [(world.object_grasp(binding["?o"]),)]
-
-    def ik_results(arm_name, target, attempt):
-        if attempt > 0:
-            return []
-        q = world.scene.reach(arm_name, target)
-        return [] if q is None else [(q,)]
-
-    def sample_kin(binding, attempt, rng):
-        target = world.grasp_target(
-            binding["?o"], binding["?p"].payload, binding["?g"].payload
-        )
-        return ik_results(binding["?a"], target, attempt)
-
-    def sample_twist_ready(binding, attempt, rng):
-        target = world.twist_hand_target(binding["?p"].payload)
-        return ik_results(binding["?a"], target, attempt)
-
-    def sample_removal_ready(binding, attempt, rng):
-        target = world.cap_removal_target(binding["?p"].payload)
-        return ik_results(binding["?a"], target, attempt)
-
-    def sample_tool_ready(binding, attempt, rng):
-        target = world.tool_twist_target(binding["?p"].payload)
-        return ik_results(binding["?a"], target, attempt)
-
-    def sample_motion(binding, attempt, rng):
-        if attempt > 0 or binding["?q1"] is binding["?q2"]:
-            return []
-        return [(np.stack([binding["?q1"].payload, binding["?q2"].payload]),)]
-
     def sample_force(binding, attempt, rng):
         if attempt > 0:
             return []
         return [(float(e),) for e in world.op["extra_force_levels"]]
 
+    scene = world.scene
+    at_bottle = (("Arm", "?a"), ("Pose", "bottle", "?p"))
     streams = [
         Stream(
             "place-on", ("?o", "?s"), (("Placeable", "?o", "?s"),), ("?p",),
             (("Placement", "?o", "?p", "?s"), ("Pose", "?o", "?p")),
             sample_placement,
         ),
-        Stream(
-            "grasp-for", ("?o",), (("Graspable", "?o"),), ("?g",),
-            (("Grasp", "?o", "?g"),), sample_grasp,
+        *grasp_streams(scene, world.object_grasp),
+        reach_stream(
+            scene, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
+            lambda b: world.twist_hand_target(b["?p"].payload),
         ),
-        Stream(
-            "reach-grasp", ("?a", "?o", "?p", "?g"),
-            (("Arm", "?a"), ("Pose", "?o", "?p"), ("Grasp", "?o", "?g")),
-            ("?q",),
-            (("Kin", "?a", "?o", "?p", "?g", "?q"), ("Conf", "?a", "?q")),
-            sample_kin,
+        reach_stream(
+            scene, "reach-cap-removal", at_bottle, ("RemovalReady", "?a", "?p"),
+            lambda b: world.cap_removal_target(b["?p"].payload),
         ),
-        Stream(
-            "reach-cap-twist", ("?a", "?p"),
-            (("Arm", "?a"), ("Pose", "bottle", "?p")),
-            ("?q",),
-            (("TwistReady", "?a", "?p", "?q"), ("Conf", "?a", "?q")),
-            sample_twist_ready,
-        ),
-        Stream(
-            "reach-cap-removal", ("?a", "?p"),
-            (("Arm", "?a"), ("Pose", "bottle", "?p")),
-            ("?q",),
-            (("RemovalReady", "?a", "?p", "?q"), ("Conf", "?a", "?q")),
-            sample_removal_ready,
-        ),
-        Stream(
-            "connect", ("?a", "?q1", "?q2"),
-            (("Conf", "?a", "?q1"), ("Conf", "?a", "?q2")),
-            ("?t",),
-            (("Motion", "?a", "?q1", "?t", "?q2"),),
-            sample_motion,
-        ),
+        connect_stream(),
         Stream(
             "press-levels", (), (), ("?e",), (("Force", "?e"),), sample_force,
         ),
     ]
     if cfg["tool"] and "twist-tool" not in disable:
         streams.append(
-            Stream(
-                "reach-tool-twist", ("?a", "?p", "?g"),
-                (("Arm", "?a"), ("Pose", "bottle", "?p"), ("Grasp", "tool", "?g")),
-                ("?q",),
-                (("ToolTwistReady", "?a", "?p", "?g", "?q"), ("Conf", "?a", "?q")),
-                sample_tool_ready,
+            reach_stream(
+                scene, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
+                ("ToolTwistReady", "?a", "?p", "?g"),
+                lambda b: world.tool_twist_target(b["?p"].payload),
             )
         )
 
     # ---- costs ------------------------------------------------------------
 
-    def pick_cost(binding):
-        obj = binding["?o"]
-        if obj not in ("bottle", "tool"):
-            return 0.0
-        chain, w = world.grasp_hold_chain(obj, binding["?a"], binding["?q"].payload)
+    def price(chain, w):
         return chain_cost(chain, w, spec, seed)
 
-    def twist_cost_fn(strategy, route):
-        def fn(binding):
-            extra = binding["?e"].payload
-            hand_chain, w = world.twist_chain(
-                strategy, extra, binding["?a"], binding["?q"].payload
-            )
-            cost = chain_cost(hand_chain, w, spec, seed)
-            if math.isinf(cost):
-                return cost
-            fix_chain, w_fix = world.fixture_chain(route, extra)
-            return cost + chain_cost(fix_chain, w_fix, spec, seed)
-
-        return fn
+    def twist_cost(strategy, route):
+        return twist_cost_fn(
+            price,
+            lambda b: world.twist_chain(
+                strategy, b["?e"].payload, b["?a"], b["?q"].payload
+            ),
+            lambda b: world.fixture_chain(route, b["?e"].payload),
+        )
 
     # ---- schemas ----------------------------------------------------------
 
-    schemas = [
-        ActionSchema(
-            name="move",
-            params=("?a", "?q1", "?t", "?q2"),
-            static_pre=(("Motion", "?a", "?q1", "?t", "?q2"),),
-            fluent_pre=(("AtConf", "?a", "?q1"),),
-            add=(("AtConf", "?a", "?q2"),),
-            delete=(("AtConf", "?a", "?q1"),),
-        ),
-        ActionSchema(
-            name="pick",
-            params=("?a", "?o", "?p", "?g", "?q"),
-            static_pre=(("Kin", "?a", "?o", "?p", "?g", "?q"),),
-            fluent_pre=(
-                ("AtPose", "?o", "?p"),
-                ("AtConf", "?a", "?q"),
-                ("HandEmpty", "?a"),
-            ),
-            add=(("Holding", "?a", "?o", "?g"),),
-            delete=(("AtPose", "?o", "?p"), ("HandEmpty", "?a")),
-            cost_fn=pick_cost,
-        ),
+    schemas = common_schemas(world, price) + [
         ActionSchema(
             name="place",
             params=("?a", "?o", "?p", "?g", "?q"),
@@ -529,83 +403,20 @@ def build_problem(
             delete=(("HandEmpty", "?a"),),
         ),
     ]
-
-    twist_names = {}
-    route_static = {
-        "table-friction": (("Placement", "bottle", "?p", "table"),),
-        "mat-friction": (("Placement", "bottle", "?p", "mat"),),
-        "vise-hold": (("Placement", "bottle", "?p", "vise"),),
-        "arm-hold": (("Arm", "?h"),),
+    strategies = {
+        s: _STRATEGY_PARTS[s]
+        for s in STRATEGIES
+        if s not in disable and (s != "twist-tool" or cfg["tool"])
     }
-    route_fluent = {
-        "table-friction": (),
-        "mat-friction": (),
-        "vise-hold": (("ViseSecured", "bottle"),),
-        "arm-hold": (("SteadyHold", "bottle", "?h"),),
+    routes = {
+        r: _ROUTE_PARTS[r]
+        for r in ROUTES
+        if r not in disable and world.route_available(r)
     }
-    for strategy in STRATEGIES:
-        if strategy in disable:
-            continue
-        if strategy == "twist-tool" and not cfg["tool"]:
-            continue
-        for route in ROUTES:
-            if route in disable or not _route_available(world, route):
-                continue
-            name = f"twist-cap--{strategy}--{route}"
-            twist_names[name] = (strategy, route)
-            extra_params = ("?h",) if route == "arm-hold" else ()
-            neq = (("?a", "?h"),) if route == "arm-hold" else ()
-            if strategy == "twist-tool":
-                params = ("?a", "?p", "?g", "?q", "?e") + extra_params
-                static = (
-                    ("ToolTwistReady", "?a", "?p", "?g", "?q"),
-                    ("Force", "?e"),
-                ) + route_static[route]
-                fluent = (
-                    ("AtPose", "bottle", "?p"),
-                    ("AtConf", "?a", "?q"),
-                    ("Holding", "?a", "tool", "?g"),
-                ) + route_fluent[route]
-            else:
-                params = ("?a", "?p", "?q", "?e") + extra_params
-                static = (
-                    ("TwistReady", "?a", "?p", "?q"),
-                    ("Force", "?e"),
-                ) + route_static[route]
-                fluent = (
-                    ("AtPose", "bottle", "?p"),
-                    ("AtConf", "?a", "?q"),
-                    ("HandEmpty", "?a"),
-                ) + route_fluent[route]
-            schemas.append(
-                ActionSchema(
-                    name=name,
-                    params=params,
-                    static_pre=static,
-                    fluent_pre=fluent,
-                    add=(("CapLoose",),),
-                    delete=(),
-                    neq=neq,
-                    cost_fn=twist_cost_fn(strategy, route),
-                )
-            )
-
-    problem = Problem(statics, init, [("CapRemoved",)], schemas, streams, registry)
+    twists, twist_names = twist_schemas(
+        "twist-cap", ("CapLoose",), strategies, routes, twist_cost
+    )
+    problem = Problem(
+        statics, init, [("CapRemoved",)], schemas + twists, streams, registry
+    )
     return problem, twist_names
-
-
-def plan_summary(result, twist_names: dict) -> dict:
-    """Strategy, route, and step count of a solved plan."""
-    out = {
-        "solved": result.solved,
-        "steps": len(result.plan) if result.solved else 0,
-        "cost": result.cost,
-        "strategy": "",
-        "route": "",
-    }
-    if result.solved:
-        for ga in result.plan:
-            if ga.schema.name in twist_names:
-                out["strategy"], out["route"] = twist_names[ga.schema.name]
-                break
-    return out

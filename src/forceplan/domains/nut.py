@@ -10,22 +10,27 @@ closed at the nut.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..planner import ActionSchema, Problem, Stream, ValueRegistry
+from ..planner import ActionSchema, Problem, ValueRegistry
 from ..robustness import PerturbationSpec, chain_cost
 from ..spatial import Transform, Wrench
-from ..stability import (
-    GRAVITY,
-    ArmJoint,
-    ForcefulKinematicChain,
-    PolygonPatchJoint,
-    RigidJoint,
+from ..stability import GRAVITY, ForcefulKinematicChain, PolygonPatchJoint, RigidJoint
+from .scene import (
+    World,
+    beam_corner_forces,
+    common_schemas,
+    connect_stream,
+    grasp_streams,
+    pad_frame,
+    pad_grasp_joint,
+    pinch_grasp,
+    reach_stream,
+    support_patch_joint,
+    tool_down_rotation,
+    twist_cost_fn,
+    twist_schemas,
 )
-from .scene import Scene, beam_corner_forces, pad_frame, pad_grasp_joint, support_patch_joint, tool_down_rotation
-from .bottle import GraspSpec
 
 __all__ = [
     "SCENE_DEFAULTS",
@@ -35,7 +40,6 @@ __all__ = [
     "NutWorld",
     "build_world",
     "build_problem",
-    "plan_summary",
 ]
 
 SCENE_DEFAULTS = {
@@ -74,17 +78,43 @@ STRATEGIES = ("finger-twist", "spanner-twist")
 ROUTES = ("arm-hold", "weight-hold", "rest-hold")
 
 
-class NutWorld:
+# (params, static, fluent) fragments of the twist schemas.
+_STRATEGY_PARTS = {
+    "finger-twist": (
+        ("?a", "?q"),
+        (("NutReady", "?a", "?q"),),
+        (("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
+    ),
+    "spanner-twist": (
+        ("?a", "?g", "?q"),
+        (("SpannerReady", "?a", "?g", "?q"),),
+        (("AtConf", "?a", "?q"), ("Holding", "?a", "spanner", "?g")),
+    ),
+}
+_ROUTE_PARTS = {
+    "arm-hold": (("?h",), (("Arm", "?h"),), (("BeamHeld", "?h"),)),
+    "weight-hold": (
+        ("?w", "?u"), (("Weight", "?w"), ("Spot", "?u")), (("WeightOn", "?w", "?u"),)
+    ),
+    "rest-hold": ((), (), ()),
+}
+
+
+class NutWorld(World):
     """Scene geometry plus chain builders for the nut twisting variants."""
 
     def __init__(self, cfg: dict, op: dict):
-        self.cfg = cfg
-        self.op = op
-        self.scene = Scene(friction=dict(cfg["friction"]))
-        for name in cfg["arms"]:
-            self.scene.add_arm(name, cfg["arm_bases"][name])
+        super().__init__(cfg, op)
         cx, cy = cfg["beam_center_xy"]
         self.nut_top = np.array([cx, cy, cfg["nut_top_height"]])
+
+    def route_available(self, route: str) -> bool:
+        """Whether the scene has what ``route`` needs (second arm, weights)."""
+        if route == "arm-hold":
+            return len(self.cfg["arms"]) >= 2
+        if route == "weight-hold":
+            return bool(self.cfg["weights"])
+        return True
 
     # ---- targets ----------------------------------------------------------
 
@@ -109,21 +139,9 @@ class NutWorld:
             xy = self.cfg["weight_xy"][obj]
         return Transform(np.eye(3), np.array([xy[0], xy[1], 0.0]))
 
-    def object_grasp(self, obj: str) -> GraspSpec:
-        z = (
-            self.cfg["spanner_grasp_height"]
-            if obj == "spanner"
-            else self.cfg["weight_grasp_height"]
-        )
-        return GraspSpec(
-            Transform(tool_down_rotation(), np.array([0.0, 0.0, z])), f"pinch-{obj}"
-        )
-
-    def grasp_target(self, pose: Transform, grasp: GraspSpec) -> Transform:
-        return Transform(
-            pose.rotation @ grasp.offset.rotation,
-            pose.translation + pose.rotation @ grasp.offset.translation,
-        )
+    def object_grasp(self, obj: str):
+        key = "spanner_grasp_height" if obj == "spanner" else "weight_grasp_height"
+        return pinch_grasp(obj, self.cfg[key])
 
     def weight_place_target(self, spot: float) -> Transform:
         cx, cy = self.cfg["beam_center_xy"]
@@ -136,11 +154,6 @@ class NutWorld:
 
     def nut_wrench(self) -> Wrench:
         return Wrench([0.0, 0.0, 0.0], [0.0, 0.0, self.op["torque"]], frame="nut")
-
-    def _arm_link(self, arm_name: str, q, app_to_ee_world=(0.0, 0.0, 0.0)):
-        joint = ArmJoint(self.scene.arms[arm_name], np.asarray(q, dtype=float))
-        t = Transform(np.eye(3), -np.asarray(app_to_ee_world, dtype=float))
-        return joint, t
 
     def twist_chain(self, strategy: str, arm_name: str, q):
         cfg = self.cfg
@@ -170,8 +183,7 @@ class NutWorld:
             ee_offset = to_handle
         else:
             raise KeyError(strategy)
-        arm_joint, arm_t = self._arm_link(arm_name, q, ee_offset)
-        joints.append((arm_joint, arm_t))
+        joints.append(self.arm_link(arm_name, q, ee_offset))
         gravity.append(None)
         chain = ForcefulKinematicChain("nut", tuple(joints), tuple(gravity))
         return chain, self.nut_wrench()
@@ -210,45 +222,22 @@ class NutWorld:
     def grasp_hold_chain(self, obj: str, arm_name: str, q):
         cfg = self.cfg
         if obj == "spanner":
-            mass, mu, grasp_z = cfg["spanner_mass"], self.scene.mu("hand-spanner"), cfg["spanner_grasp_height"]
-        else:
-            mass, mu, grasp_z = cfg["weights"][obj], self.scene.mu("hand-weight"), cfg["weight_grasp_height"]
-        return self._pinch_carry_chain(mass, mu, grasp_z, arm_name, q)
+            return self.pinch_carry_chain(
+                cfg["spanner_mass"], self.scene.mu("hand-spanner"),
+                cfg["spanner_grasp_height"], arm_name, q,
+            )
+        return self.carry_chain(cfg["weights"][obj], arm_name, q)
 
     def carry_chain(self, mass: float, arm_name: str, q):
         """Pinch-carry of a dead weight of the given mass."""
-        return self._pinch_carry_chain(
+        return self.pinch_carry_chain(
             mass, self.scene.mu("hand-weight"), self.cfg["weight_grasp_height"],
             arm_name, q,
         )
 
-    def _pinch_carry_chain(self, mass, mu, grasp_z, arm_name, q):
-        cfg = self.cfg
-        pads, preload = pad_grasp_joint(
-            mu, cfg["hand_pad_half_extents"], cfg["grip_force"], contact_frame="pads"
-        )
-        to_pads = (0.0, 0.0, grasp_z / 2.0)
-        joints = [(pads, pad_frame([1.0, 0.0, 0.0], to_pads))]
-        gravity = [preload]
-        arm_joint, arm_t = self._arm_link(arm_name, q, to_pads)
-        joints.append((arm_joint, arm_t))
-        gravity.append(None)
-        chain = ForcefulKinematicChain("obj", tuple(joints), tuple(gravity))
-        w = Wrench([0.0, 0.0, -mass * GRAVITY], [0.0, 0.0, 0.0], frame="obj")
-        return chain, w
-
 
 def build_world(scene_cfg: dict, op_cfg: dict) -> NutWorld:
     return NutWorld(scene_cfg, op_cfg)
-
-
-def _route_available(world: NutWorld, route: str) -> bool:
-    cfg = world.cfg
-    if route == "arm-hold":
-        return len(cfg["arms"]) >= 2
-    if route == "weight-hold":
-        return bool(cfg["weights"])
-    return True
 
 
 def build_problem(
@@ -261,12 +250,7 @@ def build_problem(
     disable = set(disable)
     registry = ValueRegistry()
 
-    statics = []
-    init = []
-    for arm_name in cfg["arms"]:
-        q0 = registry.add("conf", world.scene.initial_configs[arm_name])
-        statics += [("Arm", arm_name), ("Conf", arm_name, q0)]
-        init += [("AtConf", arm_name, q0), ("HandEmpty", arm_name)]
+    statics, init = world.arm_facts(registry)
     for wname in sorted(cfg["weights"]):
         pw = registry.add("pose", world.object_pose(wname))
         statics += [
@@ -285,135 +269,57 @@ def build_problem(
 
     # ---- streams ----------------------------------------------------------
 
-    def sample_grasp(binding, attempt, rng):
-        if attempt > 0:
-            return []
-        return [(world.object_grasp(binding["?o"]),)]
-
-    def ik_results(arm_name, target, attempt):
-        if attempt > 0:
-            return []
-        q = world.scene.reach(arm_name, target)
-        return [] if q is None else [(q,)]
-
-    def sample_kin(binding, attempt, rng):
-        target = world.grasp_target(binding["?p"].payload, binding["?g"].payload)
-        return ik_results(binding["?a"], target, attempt)
-
-    def sample_nut_ready(binding, attempt, rng):
-        return ik_results(binding["?a"], world.nut_twist_target(), attempt)
-
-    def sample_spanner_ready(binding, attempt, rng):
-        return ik_results(binding["?a"], world.spanner_twist_target(), attempt)
-
-    def sample_beam_grasp(binding, attempt, rng):
-        return ik_results(binding["?a"], world.beam_grasp_target(), attempt)
-
-    def sample_spot_kin(binding, attempt, rng):
-        target = world.weight_place_target(binding["?u"].payload)
-        return ik_results(binding["?a"], target, attempt)
-
-    def sample_motion(binding, attempt, rng):
-        if attempt > 0 or binding["?q1"] is binding["?q2"]:
-            return []
-        return [(np.stack([binding["?q1"].payload, binding["?q2"].payload]),)]
-
+    scene = world.scene
+    arm = (("Arm", "?a"),)
     streams = [
-        Stream(
-            "grasp-for", ("?o",), (("Graspable", "?o"),), ("?g",),
-            (("Grasp", "?o", "?g"),), sample_grasp,
+        *grasp_streams(scene, world.object_grasp),
+        reach_stream(
+            scene, "reach-nut", arm, ("NutReady", "?a"),
+            lambda b: world.nut_twist_target(),
         ),
-        Stream(
-            "reach-grasp", ("?a", "?o", "?p", "?g"),
-            (("Arm", "?a"), ("Pose", "?o", "?p"), ("Grasp", "?o", "?g")),
-            ("?q",),
-            (("Kin", "?a", "?o", "?p", "?g", "?q"), ("Conf", "?a", "?q")),
-            sample_kin,
+        reach_stream(
+            scene, "reach-beam-grip", arm, ("BeamGripReady", "?a"),
+            lambda b: world.beam_grasp_target(),
         ),
-        Stream(
-            "reach-nut", ("?a",), (("Arm", "?a"),), ("?q",),
-            (("NutReady", "?a", "?q"), ("Conf", "?a", "?q")),
-            sample_nut_ready,
+        reach_stream(
+            scene, "reach-weight-spot",
+            arm + (("Weight", "?w"), ("Spot", "?u"), ("Grasp", "?w", "?g")),
+            ("SpotKin", "?a", "?w", "?u", "?g"),
+            lambda b: world.weight_place_target(b["?u"].payload),
         ),
-        Stream(
-            "reach-beam-grip", ("?a",), (("Arm", "?a"),), ("?q",),
-            (("BeamGripReady", "?a", "?q"), ("Conf", "?a", "?q")),
-            sample_beam_grasp,
-        ),
-        Stream(
-            "reach-weight-spot", ("?a", "?w", "?u", "?g"),
-            (("Arm", "?a"), ("Weight", "?w"), ("Spot", "?u"), ("Grasp", "?w", "?g")),
-            ("?q",),
-            (("SpotKin", "?a", "?w", "?u", "?g", "?q"), ("Conf", "?a", "?q")),
-            sample_spot_kin,
-        ),
-        Stream(
-            "connect", ("?a", "?q1", "?q2"),
-            (("Conf", "?a", "?q1"), ("Conf", "?a", "?q2")),
-            ("?t",),
-            (("Motion", "?a", "?q1", "?t", "?q2"),),
-            sample_motion,
-        ),
+        connect_stream(),
     ]
     if cfg["spanner"] and "spanner-twist" not in disable:
         streams.append(
-            Stream(
-                "reach-spanner-drive", ("?a", "?g"),
-                (("Arm", "?a"), ("Grasp", "spanner", "?g")),
-                ("?q",),
-                (("SpannerReady", "?a", "?g", "?q"), ("Conf", "?a", "?q")),
-                sample_spanner_ready,
+            reach_stream(
+                scene, "reach-spanner-drive", arm + (("Grasp", "spanner", "?g"),),
+                ("SpannerReady", "?a", "?g"),
+                lambda b: world.spanner_twist_target(),
             )
         )
 
     # ---- costs ------------------------------------------------------------
 
-    def pick_cost(binding):
-        chain, w = world.grasp_hold_chain(
-            binding["?o"], binding["?a"], binding["?q"].payload
-        )
+    def price(chain, w):
         return chain_cost(chain, w, spec, seed)
 
-    def twist_cost_fn(strategy, route):
-        def fn(binding):
-            hand_chain, w = world.twist_chain(
-                strategy, binding["?a"], binding["?q"].payload
+    def fixture(route):
+        if route == "weight-hold":
+            return lambda b: world.fixture_chain(
+                route, (cfg["weights"][b["?w"]], b["?u"].payload)
             )
-            cost = chain_cost(hand_chain, w, spec, seed)
-            if math.isinf(cost):
-                return cost
-            load = None
-            if route == "weight-hold":
-                load = (cfg["weights"][binding["?w"]], binding["?u"].payload)
-            fix_chain, w_fix = world.fixture_chain(route, load)
-            return cost + chain_cost(fix_chain, w_fix, spec, seed)
+        return lambda b: world.fixture_chain(route)
 
-        return fn
+    def twist_cost(strategy, route):
+        return twist_cost_fn(
+            price,
+            lambda b: world.twist_chain(strategy, b["?a"], b["?q"].payload),
+            fixture(route),
+        )
 
     # ---- schemas ----------------------------------------------------------
 
-    schemas = [
-        ActionSchema(
-            name="move",
-            params=("?a", "?q1", "?t", "?q2"),
-            static_pre=(("Motion", "?a", "?q1", "?t", "?q2"),),
-            fluent_pre=(("AtConf", "?a", "?q1"),),
-            add=(("AtConf", "?a", "?q2"),),
-            delete=(("AtConf", "?a", "?q1"),),
-        ),
-        ActionSchema(
-            name="pick",
-            params=("?a", "?o", "?p", "?g", "?q"),
-            static_pre=(("Kin", "?a", "?o", "?p", "?g", "?q"),),
-            fluent_pre=(
-                ("AtPose", "?o", "?p"),
-                ("AtConf", "?a", "?q"),
-                ("HandEmpty", "?a"),
-            ),
-            add=(("Holding", "?a", "?o", "?g"),),
-            delete=(("AtPose", "?o", "?p"), ("HandEmpty", "?a")),
-            cost_fn=pick_cost,
-        ),
+    schemas = common_schemas(world, price) + [
         ActionSchema(
             name="place-weight",
             params=("?a", "?w", "?u", "?g", "?q"),
@@ -431,75 +337,20 @@ def build_problem(
             delete=(("HandEmpty", "?a"),),
         ),
     ]
-
-    twist_names = {}
-    route_extra = {
-        "arm-hold": {
-            "params": ("?h",),
-            "static": (("Arm", "?h"),),
-            "fluent": (("BeamHeld", "?h"),),
-        },
-        "weight-hold": {
-            "params": ("?w", "?u"),
-            "static": (("Weight", "?w"), ("Spot", "?u")),
-            "fluent": (("WeightOn", "?w", "?u"),),
-        },
-        "rest-hold": {"params": (), "static": (), "fluent": ()},
+    strategies = {
+        s: _STRATEGY_PARTS[s]
+        for s in STRATEGIES
+        if s not in disable and (s != "spanner-twist" or cfg["spanner"])
     }
-    for strategy in STRATEGIES:
-        if strategy in disable:
-            continue
-        if strategy == "spanner-twist" and not cfg["spanner"]:
-            continue
-        for route in ROUTES:
-            if route in disable or not _route_available(world, route):
-                continue
-            name = f"twist-nut--{strategy}--{route}"
-            twist_names[name] = (strategy, route)
-            extra = route_extra[route]
-            neq = (("?a", "?h"),) if route == "arm-hold" else ()
-            if strategy == "spanner-twist":
-                params = ("?a", "?g", "?q") + extra["params"]
-                static = (("SpannerReady", "?a", "?g", "?q"),) + extra["static"]
-                fluent = (
-                    ("AtConf", "?a", "?q"),
-                    ("Holding", "?a", "spanner", "?g"),
-                ) + extra["fluent"]
-            else:
-                params = ("?a", "?q") + extra["params"]
-                static = (("NutReady", "?a", "?q"),) + extra["static"]
-                fluent = (
-                    ("AtConf", "?a", "?q"),
-                    ("HandEmpty", "?a"),
-                ) + extra["fluent"]
-            schemas.append(
-                ActionSchema(
-                    name=name,
-                    params=params,
-                    static_pre=static,
-                    fluent_pre=fluent,
-                    add=(("NutLoosened",),),
-                    delete=(),
-                    neq=neq,
-                    cost_fn=twist_cost_fn(strategy, route),
-                )
-            )
-
-    problem = Problem(statics, init, [("NutLoosened",)], schemas, streams, registry)
+    routes = {
+        r: _ROUTE_PARTS[r]
+        for r in ROUTES
+        if r not in disable and world.route_available(r)
+    }
+    twists, twist_names = twist_schemas(
+        "twist-nut", ("NutLoosened",), strategies, routes, twist_cost
+    )
+    problem = Problem(
+        statics, init, [("NutLoosened",)], schemas + twists, streams, registry
+    )
     return problem, twist_names
-
-
-def plan_summary(result, twist_names: dict) -> dict:
-    out = {
-        "solved": result.solved,
-        "steps": len(result.plan) if result.solved else 0,
-        "cost": result.cost,
-        "strategy": "",
-        "route": "",
-    }
-    if result.solved:
-        for ga in result.plan:
-            if ga.schema.name in twist_names:
-                out["strategy"], out["route"] = twist_names[ga.schema.name]
-                break
-    return out

@@ -1,8 +1,13 @@
-"""Shared scene scaffolding for the task domains.
+"""Shared scene scaffolding and the skeleton both task domains build on.
 
 A scene owns the frame tree, the arms with their base placements, and the
-friction table.  Domain modules build their planning problems on top of
-these helpers.
+friction table.  Both domains are one construction on top of it: a twist
+action variant for every hand strategy and fixture route, priced by a
+hand-side chain and a fixture-side chain, plus the grasp, reach, move and
+pick plumbing that brings a hand to the work.  What the domains share lives
+here: grasps and grasp targets, the arm link and the pinch-carry chain,
+the per-arm initial facts, the common streams and schemas, the
+twist-schema generator, and the plan summary.
 
 Contact frame conventions used by the joint builders:
 
@@ -16,26 +21,41 @@ Contact frame conventions used by the joint builders:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..robot import SerialArm, default_arm, fk, ik
+from ..planner import ActionSchema, Stream
+from ..robot import SerialArm, default_arm, ik
 from ..spatial import FrameTree, Transform, Wrench, rot_y
 from ..stability import (
     GRAVITY,
+    ArmJoint,
     CircularPatchJoint,
+    ForcefulKinematicChain,
     PolygonPatchJoint,
     beam_support_forces,
 )
 
 __all__ = [
     "Scene",
+    "World",
+    "GraspSpec",
     "tool_down_rotation",
     "pad_frame",
     "pad_grasp_joint",
     "support_patch_joint",
     "beam_corner_forces",
+    "pinch_grasp",
+    "grasp_target",
+    "reach_stream",
+    "grasp_streams",
+    "connect_stream",
+    "common_schemas",
+    "twist_cost_fn",
+    "twist_schemas",
+    "plan_summary",
 ]
 
 
@@ -159,10 +179,246 @@ class Scene:
         )
         return ik(self.arms[arm_name], local, initial_q=seed_q)
 
-    def hand_pose(self, arm_name: str, q) -> Transform:
-        base = self.arm_base(arm_name)
-        local = fk(self.arms[arm_name], q)
-        return Transform(
-            base.rotation @ local.rotation,
-            base.translation + base.rotation @ local.translation,
+
+@dataclass(frozen=True)
+class GraspSpec:
+    """Hand pose relative to the object, plus a label for reporting."""
+
+    offset: Transform
+    label: str
+
+    def to_dict(self) -> dict:
+        return {"offset": self.offset.to_dict(), "label": self.label}
+
+    @staticmethod
+    def from_dict(d: dict) -> "GraspSpec":
+        return GraspSpec(Transform.from_dict(d["offset"]), d["label"])
+
+
+def pinch_grasp(obj: str, height: float) -> GraspSpec:
+    """Top-down pinch of ``obj`` at ``height`` above its origin."""
+    return GraspSpec(
+        Transform(tool_down_rotation(), np.array([0.0, 0.0, height])), f"pinch-{obj}"
+    )
+
+
+def grasp_target(pose: Transform, grasp: GraspSpec) -> Transform:
+    """World hand pose for ``grasp`` on an object at ``pose``."""
+    return Transform(
+        pose.rotation @ grasp.offset.rotation,
+        pose.translation + pose.rotation @ grasp.offset.translation,
+    )
+
+
+class World:
+    """A domain's scene configuration and the scene built from it.
+
+    ``cfg`` is the scenario's resolved ``scene`` section and ``op`` its
+    ``operation`` section; both domains name their arms, arm bases,
+    friction table, grip force and hand pads alike.
+    """
+
+    def __init__(self, cfg: dict, op: dict):
+        self.cfg = cfg
+        self.op = op
+        self.scene = Scene(friction=dict(cfg["friction"]))
+        for name in cfg["arms"]:
+            self.scene.add_arm(name, cfg["arm_bases"][name])
+
+    def arm_facts(self, registry):
+        """Static and initial facts of every arm: empty, at its initial conf."""
+        statics, init = [], []
+        for arm_name in self.cfg["arms"]:
+            q0 = registry.add("conf", self.scene.initial_configs[arm_name])
+            statics += [("Arm", arm_name), ("Conf", arm_name, q0)]
+            init += [("AtConf", arm_name, q0), ("HandEmpty", arm_name)]
+        return statics, init
+
+    def arm_link(self, arm_name: str, q, app_to_ee_world=(0.0, 0.0, 0.0)):
+        # Arm bases are axis-aligned with the world, so the torque check
+        # frame only shifts the moment origin to the end effector.
+        joint = ArmJoint(self.scene.arms[arm_name], np.asarray(q, dtype=float))
+        t = Transform(np.eye(3), -np.asarray(app_to_ee_world, dtype=float))
+        return joint, t
+
+    def pinch_carry_chain(self, mass, mu, grasp_z, arm_name, q):
+        """Carrying an object in the pinch grasp, loaded by its own weight.
+
+        The object's center of mass sits halfway up to the grasp height.
+        """
+        pads, preload = pad_grasp_joint(
+            mu, self.cfg["hand_pad_half_extents"], self.cfg["grip_force"],
+            contact_frame="pads",
         )
+        to_pads = (0.0, 0.0, grasp_z / 2.0)
+        joints = (
+            (pads, pad_frame([1.0, 0.0, 0.0], to_pads)),
+            self.arm_link(arm_name, q, to_pads),
+        )
+        chain = ForcefulKinematicChain("obj", joints, (preload, None))
+        w = Wrench([0.0, 0.0, -mass * GRAVITY], [0.0, 0.0, 0.0], frame="obj")
+        return chain, w
+
+
+# ---- streams ---------------------------------------------------------------
+
+
+def reach_stream(scene: Scene, name: str, domain: tuple, fact: tuple, target) -> Stream:
+    """IK stream: a configuration ``?q`` of arm ``?a`` at ``target(binding)``.
+
+    The arguments of ``fact`` are the stream's inputs; it certifies
+    ``fact + (?q,)`` and ``(Conf ?a ?q)``.
+    """
+
+    def sample(binding, attempt, rng):
+        if attempt > 0:
+            return []
+        q = scene.reach(binding["?a"], target(binding))
+        return [] if q is None else [(q,)]
+
+    return Stream(
+        name, fact[1:], domain, ("?q",), (fact + ("?q",), ("Conf", "?a", "?q")), sample
+    )
+
+
+def grasp_streams(scene: Scene, object_grasp) -> list:
+    """``grasp-for`` (one grasp per graspable object) and ``reach-grasp``."""
+
+    def sample_grasp(binding, attempt, rng):
+        if attempt > 0:
+            return []
+        return [(object_grasp(binding["?o"]),)]
+
+    return [
+        Stream(
+            "grasp-for", ("?o",), (("Graspable", "?o"),), ("?g",),
+            (("Grasp", "?o", "?g"),), sample_grasp,
+        ),
+        reach_stream(
+            scene, "reach-grasp",
+            (("Arm", "?a"), ("Pose", "?o", "?p"), ("Grasp", "?o", "?g")),
+            ("Kin", "?a", "?o", "?p", "?g"),
+            lambda b: grasp_target(b["?p"].payload, b["?g"].payload),
+        ),
+    ]
+
+
+def connect_stream() -> Stream:
+    """Straight joint-space motion between two configurations of one arm."""
+
+    def sample_motion(binding, attempt, rng):
+        if attempt > 0 or binding["?q1"] is binding["?q2"]:
+            return []
+        return [(np.stack([binding["?q1"].payload, binding["?q2"].payload]),)]
+
+    return Stream(
+        "connect", ("?a", "?q1", "?q2"),
+        (("Conf", "?a", "?q1"), ("Conf", "?a", "?q2")),
+        ("?t",),
+        (("Motion", "?a", "?q1", "?t", "?q2"),),
+        sample_motion,
+    )
+
+
+# ---- schemas ---------------------------------------------------------------
+
+
+def common_schemas(world: World, price) -> list:
+    """``move`` and ``pick``.
+
+    Picking pays for carrying the object: ``price(chain, wrench)`` of
+    ``world.grasp_hold_chain(?o, ?a, ?q)``.
+    """
+
+    def pick_cost(binding):
+        return price(
+            *world.grasp_hold_chain(binding["?o"], binding["?a"], binding["?q"].payload)
+        )
+
+    return [
+        ActionSchema(
+            name="move",
+            params=("?a", "?q1", "?t", "?q2"),
+            static_pre=(("Motion", "?a", "?q1", "?t", "?q2"),),
+            fluent_pre=(("AtConf", "?a", "?q1"),),
+            add=(("AtConf", "?a", "?q2"),),
+            delete=(("AtConf", "?a", "?q1"),),
+        ),
+        ActionSchema(
+            name="pick",
+            params=("?a", "?o", "?p", "?g", "?q"),
+            static_pre=(("Kin", "?a", "?o", "?p", "?g", "?q"),),
+            fluent_pre=(
+                ("AtPose", "?o", "?p"),
+                ("AtConf", "?a", "?q"),
+                ("HandEmpty", "?a"),
+            ),
+            add=(("Holding", "?a", "?o", "?g"),),
+            delete=(("AtPose", "?o", "?p"), ("HandEmpty", "?a")),
+            cost_fn=pick_cost,
+        ),
+    ]
+
+
+def twist_cost_fn(price, hand, fixture):
+    """Cost of one twist variant: its hand chain's plus its fixture chain's.
+
+    ``hand(binding)`` and ``fixture(binding)`` build ``(chain, wrench)``
+    pairs and ``price(chain, wrench)`` prices one; the fixture chain is not
+    priced once the hand chain fails for sure.
+    """
+
+    def fn(binding):
+        cost = price(*hand(binding))
+        if math.isinf(cost):
+            return cost
+        return cost + price(*fixture(binding))
+
+    return fn
+
+
+def twist_schemas(prefix: str, goal: tuple, strategies: dict, routes: dict, cost_fn):
+    """One twist schema per strategy and route, ``{prefix}--{strategy}--{route}``.
+
+    ``strategies`` and ``routes`` map names to ``(params, static, fluent)``
+    fragments, in schema order; a schema joins its strategy's fragments
+    with its route's and adds ``goal``.  A route that binds a holding arm
+    ``?h`` keeps it apart from the twisting arm ``?a``.  ``cost_fn(strategy,
+    route)`` returns the variant's cost function.  Returns the schemas and
+    ``twist_names``, which maps each schema name to (strategy, route).
+    """
+    schemas, twist_names = [], {}
+    for strategy, (s_params, s_static, s_fluent) in strategies.items():
+        for route, (r_params, r_static, r_fluent) in routes.items():
+            name = f"{prefix}--{strategy}--{route}"
+            twist_names[name] = (strategy, route)
+            schemas.append(
+                ActionSchema(
+                    name=name,
+                    params=s_params + r_params,
+                    static_pre=s_static + r_static,
+                    fluent_pre=s_fluent + r_fluent,
+                    add=(goal,),
+                    delete=(),
+                    neq=(("?a", "?h"),) if "?h" in r_params else (),
+                    cost_fn=cost_fn(strategy, route),
+                )
+            )
+    return schemas, twist_names
+
+
+def plan_summary(result, twist_names: dict) -> dict:
+    """Strategy, route, and step count of a solved plan."""
+    out = {
+        "solved": result.solved,
+        "steps": len(result.plan) if result.solved else 0,
+        "cost": result.cost,
+        "strategy": "",
+        "route": "",
+    }
+    if result.solved:
+        for ga in result.plan:
+            if ga.schema.name in twist_names:
+                out["strategy"], out["route"] = twist_names[ga.schema.name]
+                break
+    return out

@@ -1,4 +1,4 @@
-"""Serial arm kinematics, torque-limit checks, and impedance commands.
+"""Serial arm kinematics and torque-limit checks.
 
 All arms here are revolute-only chains.  Joint ``i`` sits at a fixed
 translation ``link_offsets[i]`` from the previous joint frame and rotates
@@ -19,25 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .spatial import Transform, Wrench, compose
+from .spatial import Transform, Wrench
 from .stability import StabilityVerdict
 
 __all__ = [
     "SerialArm",
-    "ImpedanceCommand",
     "fk",
     "jacobian",
     "torque_stable",
     "ik",
-    "impedance_offset",
-    "make_impedance_command",
     "default_arm",
     "planar_two_link_arm",
 ]
-
-# Stiffest practical cartesian impedance: (x, y, z) N/m then (rx, ry, rz)
-# N*m/rad.
-DEFAULT_STIFFNESS = np.array([3000.0, 3000.0, 3000.0, 50.0, 50.0, 50.0])
 
 _IK_DAMPING = 1e-2
 _IK_TOL = 1e-4
@@ -215,51 +208,6 @@ def ik(
                 dq *= 0.5 / step
             q = np.clip(q + dq, lo, hi)
     return None
-
-
-def impedance_offset(w: Wrench, stiffness=None) -> np.ndarray:
-    """Equilibrium displacement that makes a cartesian impedance exert ``w``.
-
-    Componentwise ``w / Kp``: three translations in meters followed by
-    three rotations in radians.
-    """
-    kp = DEFAULT_STIFFNESS if stiffness is None else np.asarray(stiffness, float)
-    if np.any(kp <= 0):
-        raise ValueError("stiffness must be positive")
-    return w.as_array() / kp
-
-
-@dataclass(frozen=True, eq=False)
-class ImpedanceCommand:
-    """Target offset plus gains for one wrench-exerting action."""
-
-    stiffness: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        kp = np.asarray(self.stiffness, dtype=float).reshape(6).copy()
-        off = np.asarray(self.offset, dtype=float).reshape(6).copy()
-        kp.flags.writeable = False
-        off.flags.writeable = False
-        object.__setattr__(self, "stiffness", kp)
-        object.__setattr__(self, "offset", off)
-
-    @property
-    def damping(self) -> np.ndarray:
-        # Critically damped gains, recomputed so they can never go stale.
-        return 2.0 * np.sqrt(self.stiffness)
-
-    def to_dict(self) -> dict:
-        return {
-            "stiffness": [float(v) for v in self.stiffness],
-            "damping": [float(v) for v in self.damping],
-            "offset": [float(v) for v in self.offset],
-        }
-
-
-def make_impedance_command(w: Wrench, stiffness=None) -> ImpedanceCommand:
-    kp = DEFAULT_STIFFNESS if stiffness is None else np.asarray(stiffness, float)
-    return ImpedanceCommand(kp, impedance_offset(w, kp))
 
 
 def planar_two_link_arm(l1: float = 1.0, l2: float = 1.0, torque_limits=(30.0, 30.0)):

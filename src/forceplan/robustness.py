@@ -34,7 +34,6 @@ __all__ = [
     "PerturbationSpec",
     "perturbed_case",
     "success_probability",
-    "failure_probability",
     "cost_from_probability",
     "chain_cost",
 ]
@@ -146,15 +145,6 @@ def success_probability(
         if chain_stable(c2, w2).stable:
             ok += 1
     return ok / spec.samples
-
-
-def failure_probability(
-    chain: ForcefulKinematicChain,
-    w: Wrench,
-    spec: PerturbationSpec | None = None,
-    seed: int = 0,
-) -> float:
-    return 1.0 - success_probability(chain, w, spec, seed)
 
 
 def cost_from_probability(p: float) -> float:

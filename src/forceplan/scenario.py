@@ -3,7 +3,11 @@
 A scenario is ordinary JSON except that lines whose first non-blank
 characters are ``//`` are dropped before parsing.  Every key is checked
 against the domain's defaults; a typo anywhere fails loading with the
-full dotted path of the offending key.
+full dotted path of the offending key, and so does a value of the wrong
+type (an integer setting given a fraction, a list element of the wrong
+type) or out of range (a negative force, mass, radius, friction
+coefficient or noise scale, fewer than one sample, a weight spot off the
+slat).
 
 Ablation stages apply cumulatively: each stage's ``overrides`` (dotted
 paths into scene/operation/perturbation) and ``disable`` entries stack
@@ -17,7 +21,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .robustness import PerturbationSpec
-from .domains import bottle, nut
+from .domains import DOMAINS
 
 __all__ = [
     "ConfigError",
@@ -28,11 +32,6 @@ __all__ = [
     "parse_scenario",
     "resolve_stage",
 ]
-
-_DOMAINS = {
-    "bottle-cap": bottle,
-    "nut-fastening": nut,
-}
 
 _TOP_KEYS = {
     "domain", "seed", "scene", "operation", "perturbation", "budget",
@@ -111,7 +110,11 @@ def _checked_value(base, value, path: str):
         if not (isinstance(base, bool) and isinstance(value, bool)):
             raise ConfigError(f"'{path}' must be {type(base).__name__}")
         return value
-    if isinstance(base, (int, float)):
+    if isinstance(base, int):
+        if not isinstance(value, int):
+            raise ConfigError(f"'{path}' must be an integer")
+        return value
+    if isinstance(base, float):
         if not isinstance(value, (int, float)):
             raise ConfigError(f"'{path}' must be a number")
         return value
@@ -122,8 +125,48 @@ def _checked_value(base, value, path: str):
     if isinstance(base, list):
         if not isinstance(value, list):
             raise ConfigError(f"'{path}' must be a list")
+        if base:
+            for i, item in enumerate(value):
+                _checked_value(base[0], item, f"{path}[{i}]")
         return copy.deepcopy(value)
     raise ConfigError(f"'{path}' has unsupported type")
+
+
+def _nonnegative(path: str) -> bool:
+    section, _, key = path.partition(".")
+    return (
+        section == "perturbation"
+        or key.startswith(("friction.", "weights."))
+        or any(word in key for word in ("force", "mass", "radius"))
+    )
+
+
+def _check_ranges(node: dict, path: str):
+    for key, value in node.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            _check_ranges(value, sub)
+        elif _nonnegative(sub):
+            values = value if isinstance(value, list) else [value]
+            if any(v < 0 for v in values):
+                raise ConfigError(f"'{sub}' must be nonnegative")
+
+
+def _check_sections(sections: dict):
+    """Cross-key and range checks of merged scene/operation/perturbation."""
+    _check_ranges(sections, "")
+    if sections["perturbation"]["samples"] < 1:
+        raise ConfigError("'perturbation.samples' must be at least 1")
+    scene = sections["scene"]
+    for arm in scene.get("arms", []):
+        if arm not in scene["arm_bases"]:
+            raise ConfigError(f"'scene.arms' names unknown arm '{arm}'")
+    for i, spot in enumerate(scene.get("weight_spots", [])):
+        if abs(spot) > scene["beam_length"] / 2.0:
+            raise ConfigError(
+                f"'scene.weight_spots[{i}]' = {spot} is off the slat "
+                f"(beam_length {scene['beam_length']})"
+            )
 
 
 def _check_disable(names, module, path: str) -> tuple:
@@ -167,11 +210,11 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("scenario must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "")
     domain = raw.get("domain")
-    if domain not in _DOMAINS:
+    if domain not in DOMAINS:
         raise ConfigError(
-            f"'domain' must be one of {sorted(_DOMAINS)}, got {domain!r}"
+            f"'domain' must be one of {sorted(DOMAINS)}, got {domain!r}"
         )
-    module = _DOMAINS[domain]
+    module = DOMAINS[domain]
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("'seed' must be a nonnegative integer")
@@ -184,10 +227,9 @@ def parse_scenario(text: str) -> Scenario:
     )
     budget = _merge_section(_BUDGET_DEFAULTS, raw.get("budget", {}), "budget")
     disable = _check_disable(raw.get("disable", []), module, "disable")
-    if "arms" in scene:
-        for arm in scene["arms"]:
-            if arm not in scene["arm_bases"]:
-                raise ConfigError(f"'scene.arms' names unknown arm '{arm}'")
+    _check_sections(
+        {"scene": scene, "operation": operation, "perturbation": perturbation}
+    )
     stages_raw = raw.get("ablation", {})
     if not isinstance(stages_raw, dict):
         raise ConfigError("'ablation' must be an object")
@@ -235,10 +277,7 @@ def resolve_stage(scenario: Scenario, index: int) -> ResolvedStage:
         for name in stage.disable:
             if name not in disable:
                 disable.append(name)
-    if "arms" in sections["scene"]:
-        for arm in sections["scene"]["arms"]:
-            if arm not in sections["scene"]["arm_bases"]:
-                raise ConfigError(f"'scene.arms' names unknown arm '{arm}'")
+    _check_sections(sections)
     return ResolvedStage(
         name=scenario.stages[index].name,
         domain=scenario.domain,

@@ -117,27 +117,8 @@ class Wrench:
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", tau)
 
-    @staticmethod
-    def zero(frame: str = "") -> "Wrench":
-        return Wrench(np.zeros(3), np.zeros(3), frame)
-
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
-
-    @staticmethod
-    def from_array(w, frame: str = "") -> "Wrench":
-        w = np.asarray(w, dtype=float).reshape(6)
-        return Wrench(w[:3], w[3:], frame)
-
-    def add(self, other: "Wrench") -> "Wrench":
-        if other.frame and self.frame and other.frame != self.frame:
-            raise ValueError(
-                f"cannot add wrench in frame {other.frame!r} to frame {self.frame!r}"
-            )
-        return Wrench(self.force + other.force, self.torque + other.torque, self.frame)
-
-    def scaled(self, s: float) -> "Wrench":
-        return Wrench(self.force * s, self.torque * s, self.frame)
 
     def to_dict(self) -> dict:
         return {
@@ -199,28 +180,6 @@ class FrameTree:
         if parent not in self._parents:
             raise KeyError(f"unknown parent frame {parent!r}")
         self._parents[name] = (parent, t_parent_child)
-
-    def set_transform(self, name: str, t_parent_child: Transform) -> None:
-        parent, _ = self._parents[name]
-        if parent is None:
-            raise ValueError("cannot reparent the root frame")
-        self._parents[name] = (parent, t_parent_child)
-
-    def has_frame(self, name: str) -> bool:
-        return name in self._parents
-
-    def frames(self) -> list[str]:
-        return list(self._parents)
-
-    def _path_to_root(self, name: str) -> list[str]:
-        if name not in self._parents:
-            raise KeyError(f"unknown frame {name!r}")
-        path = [name]
-        while True:
-            parent, _ = self._parents[path[-1]]
-            if parent is None:
-                return path
-            path.append(parent)
 
     def transform_to_root(self, name: str) -> Transform:
         t = Transform.identity()

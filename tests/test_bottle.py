@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from forceplan.domains import bottle
+from forceplan.domains.scene import GraspSpec, grasp_target, plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
 from forceplan.stability import GRAVITY, CircularPatchJoint, RigidJoint, chain_stable
@@ -128,7 +129,7 @@ class TestCarryChain:
         world = make_world()
         grasp = world.object_grasp("bottle")
         q = world.scene.reach(
-            "arm0", world.grasp_target("bottle", world.bottle_pose, grasp)
+            "arm0", grasp_target(world.bottle_pose, grasp)
         )
         chain, w = world.grasp_hold_chain("bottle", "arm0", q)
         verdict = chain_stable(chain, w)
@@ -139,7 +140,7 @@ class TestCarryChain:
         world = make_world(grip_force=1.5)
         grasp = world.object_grasp("bottle")
         q = world.scene.reach(
-            "arm0", world.grasp_target("bottle", world.bottle_pose, grasp)
+            "arm0", grasp_target(world.bottle_pose, grasp)
         )
         chain, w = world.grasp_hold_chain("bottle", "arm0", q)
         assert not chain_stable(chain, w).stable
@@ -151,7 +152,7 @@ class TestPlanning:
         problem, names = bottle.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem, seed=0)
         assert result.solved
-        summary = bottle.plan_summary(result, names)
+        summary = plan_summary(result, names)
         assert summary["steps"] == 4
         assert summary["strategy"] == "wrap-grip"
         assert summary["route"] == "table-friction"
@@ -167,7 +168,7 @@ class TestPlanning:
         )
         result = solve(problem, seed=0)
         assert result.solved
-        summary = bottle.plan_summary(result, names)
+        summary = plan_summary(result, names)
         assert summary["steps"] == 6
         assert summary["route"] == "arm-hold"
         assert any(ga.schema.name == "steady-grasp" for ga in result.plan)
@@ -182,7 +183,7 @@ class TestPlanning:
         )
         result = solve(problem, seed=0)
         assert result.solved
-        summary = bottle.plan_summary(result, names)
+        summary = plan_summary(result, names)
         assert summary["steps"] == 8
         assert summary["strategy"] == "twist-tool"
         actions = [ga.schema.name for ga in result.plan]
@@ -198,14 +199,14 @@ class TestPlanning:
         problem, names = bottle.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem, seed=0, max_levels=4)
         assert not result.solved
-        assert bottle.plan_summary(result, names)["steps"] == 0
+        assert plan_summary(result, names)["steps"] == 0
 
 
 class TestGraspSpec:
     def test_round_trip(self):
         world = make_world()
         g = world.object_grasp("tool")
-        g2 = bottle.GraspSpec.from_dict(g.to_dict())
+        g2 = GraspSpec.from_dict(g.to_dict())
         assert g2.label == g.label
         np.testing.assert_allclose(g2.offset.rotation, g.offset.rotation)
         np.testing.assert_allclose(g2.offset.translation, g.offset.translation)

@@ -62,6 +62,18 @@ class TestSolve:
         assert "scene.grippers" in capsys.readouterr().err
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
+    def test_bad_stage_value_exits_1_before_any_solve(self, tmp_path, capsys):
+        bad = tmp_path / "bad_stage.json"
+        bad.write_text(
+            '{"domain": "nut-fastening", "ablation": {"stages": [{"name": "two-arms"},'
+            ' {"name": "one-arm", "overrides": {"scene.weight_spots": [0.4]}}]}}'
+        )
+        assert main(["ablate", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "scene.weight_spots[0]" in captured.err
+        assert "Traceback" not in captured.err
+        assert "two-arms" not in captured.out
+
 
 class TestAblate:
     def test_stage_table_matches_scenario_design(self, tmp_path, capsys):

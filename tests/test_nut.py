@@ -7,6 +7,7 @@ import math
 import pytest
 
 from forceplan.domains import nut
+from forceplan.domains.scene import grasp_target, plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
 from forceplan.stability import RigidJoint, chain_stable
@@ -94,7 +95,7 @@ class TestCarrying:
         for wname in ("w1", "w2", "w3"):
             grasp = world.object_grasp(wname)
             q = world.scene.reach(
-                "arm0", world.grasp_target(world.object_pose(wname), grasp)
+                "arm0", grasp_target(world.object_pose(wname), grasp)
             )
             assert q is not None, wname
             chain, w = world.grasp_hold_chain(wname, "arm0", q)
@@ -113,7 +114,7 @@ class TestPlanning:
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem, seed=0)
         assert result.solved
-        summary = nut.plan_summary(result, names)
+        summary = plan_summary(result, names)
         assert summary["steps"] == 4
         assert summary["strategy"] == "finger-twist"
         assert summary["route"] == "arm-hold"
@@ -126,7 +127,7 @@ class TestPlanning:
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem, seed=0)
         assert result.solved
-        summary = nut.plan_summary(result, names)
+        summary = plan_summary(result, names)
         assert summary["steps"] == 6
         assert summary["route"] == "weight-hold"
         picked = [ga.args[1] for ga in result.plan if ga.schema.name == "pick"]
@@ -139,7 +140,7 @@ class TestPlanning:
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem, seed=0)
         assert result.solved
-        summary = nut.plan_summary(result, names)
+        summary = plan_summary(result, names)
         assert summary["steps"] == 6
         assert summary["strategy"] == "spanner-twist"
         assert summary["route"] == "arm-hold"

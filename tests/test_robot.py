@@ -11,9 +11,7 @@ from forceplan.robot import (
     default_arm,
     fk,
     ik,
-    impedance_offset,
     jacobian,
-    make_impedance_command,
     planar_two_link_arm,
     torque_stable,
 )
@@ -182,27 +180,3 @@ class TestInverseKinematics:
         q1 = ik(arm, target)
         q2 = ik(arm, target)
         np.testing.assert_array_equal(q1, q2)
-
-
-class TestImpedance:
-    def test_linear_offset(self):
-        w = Wrench(np.array([0.0, 0.0, -15.0]), np.zeros(3))
-        off = impedance_offset(w)
-        np.testing.assert_allclose(off, [0.0, 0.0, -0.005, 0.0, 0.0, 0.0], atol=1e-15)
-
-    def test_rotational_offset(self):
-        w = Wrench(np.zeros(3), np.array([0.0, 0.0, 0.2]))
-        off = impedance_offset(w)
-        np.testing.assert_allclose(off, [0.0, 0.0, 0.0, 0.0, 0.0, 0.004], atol=1e-15)
-
-    def test_command_damping_critical(self):
-        w = Wrench(np.array([1.0, 0.0, 0.0]), np.zeros(3))
-        cmd = make_impedance_command(w)
-        np.testing.assert_allclose(cmd.damping, 2.0 * np.sqrt(cmd.stiffness))
-        d = cmd.to_dict()
-        assert d["offset"][0] == pytest.approx(1.0 / 3000.0)
-
-    def test_rejects_bad_stiffness(self):
-        w = Wrench(np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            impedance_offset(w, np.zeros(6))

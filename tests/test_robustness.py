@@ -11,7 +11,6 @@ from forceplan.robustness import (
     PerturbationSpec,
     chain_cost,
     cost_from_probability,
-    failure_probability,
     perturbed_case,
     success_probability,
 )
@@ -168,14 +167,6 @@ class TestCost:
         ps = [0.1, 0.3, 0.6, 0.9, 1.0]
         costs = [cost_from_probability(p) for p in ps]
         assert all(b < a for a, b in zip(costs, costs[1:]))
-
-    def test_failure_probability_complements(self):
-        chain = single_patch_chain(0.5, 0.05, 10.0)
-        w = Wrench([4.5, 0, 0], [0, 0, 0], frame="contact")
-        spec = PerturbationSpec(samples=100)
-        assert failure_probability(chain, w, spec, seed=2) == pytest.approx(
-            1.0 - success_probability(chain, w, spec, seed=2)
-        )
 
 
 class TestSpec:

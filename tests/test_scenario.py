@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from forceplan.scenario import ConfigError, parse_scenario, resolve_stage
@@ -121,3 +124,46 @@ class TestStages:
     def test_stage_needs_a_name(self):
         with pytest.raises(ConfigError, match="name"):
             parse('{"domain": "bottle-cap", "ablation": {"stages": [{}]}}')
+
+
+
+def _nested(dotted, value):
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
+
+
+class TestValues:
+    @pytest.mark.parametrize(
+        "domain, dotted, value, reported",
+        [
+            ("bottle-cap", "scene.grip_force", -1, "scene.grip_force"),
+            ("bottle-cap", "perturbation.samples", 0, "perturbation.samples"),
+            ("bottle-cap", "perturbation.samples", 2.5, "perturbation.samples"),
+            ("nut-fastening", "perturbation.mu_rel", -0.1, "perturbation.mu_rel"),
+            ("bottle-cap", "scene.friction.bottle-table", -0.3, "scene.friction.bottle-table"),
+            ("nut-fastening", "scene.weights.w2", -2.0, "scene.weights.w2"),
+            ("nut-fastening", "scene.weight_spots", [0.4], "scene.weight_spots[0]"),
+            (
+                "bottle-cap", "operation.extra_force_levels", ["a"],
+                "operation.extra_force_levels[0]",
+            ),
+            ("bottle-cap", "budget.max_levels", 1.5, "budget.max_levels"),
+        ],
+    )
+    def test_bad_values_name_the_dotted_path(self, domain, dotted, value, reported):
+        # Each value fails in the base sections and, where stages may
+        # override it, as a later stage's override.
+        texts = [json.dumps({"domain": domain, **_nested(dotted, value)})]
+        if not dotted.startswith("budget."):
+            stages = [{"name": "a"}, {"name": "b", "overrides": {dotted: value}}]
+            texts.append(json.dumps({"domain": domain, "ablation": {"stages": stages}}))
+        for text in texts:
+            with pytest.raises(ConfigError, match=re.escape(f"'{reported}'")):
+                sc = parse(text)
+                for index in range(len(sc.stages)):
+                    resolve_stage(sc, index)
+
+    def test_spot_at_the_slat_end_is_allowed(self):
+        sc = parse('{"domain": "nut-fastening", "scene": {"weight_spots": [-0.25, 0.25]}}')
+        assert resolve_stage(sc, 0).scene["weight_spots"] == [-0.25, 0.25]
