@@ -12,6 +12,17 @@ monotonicity of the underlying margins.
 Normal forces split into a coupled part, which tracks the perturbed applied
 normal force, and an uncoupled part (weight, grip preload) held at its
 nominal value.  Gravity side wrenches stay nominal as well.
+
+``perturbed_case`` builds one sample as a chain, and ``chain_stable`` of
+that chain is the sample's verdict: together they are the scalar oracle.
+``success_probability`` computes the same verdicts for all samples at
+once.  Each sample draws one ``standard_normal`` vector of length
+6 + 8 * (patch joints) and scales its frame slices, which yields exactly
+the numbers of the documented draw order.  The joints are checked with
+array operations on the (samples, 6) wrenches they transmit, an arm's
+Jacobian is computed once, and a polygon patch only asks for the cone
+verdict.  It raises the errors the scalar oracle raises, first sample
+first.
 """
 
 from __future__ import annotations
@@ -22,12 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from . import robot
 from .spatial import Transform, Wrench, compose
 from .stability import (
+    ArmJoint,
     CircularPatchJoint,
     ForcefulKinematicChain,
     PolygonPatchJoint,
+    RigidJoint,
     chain_stable,
+    circular_patch_verdicts,
+    joint_stable,
+    polygon_patch_verdicts,
 )
 
 __all__ = [
@@ -130,21 +147,180 @@ def perturbed_case(
     return out, w2
 
 
+def _draws(samples: range, width: int, seed: int) -> np.ndarray:
+    """One standard normal row per sample, from that sample's own stream."""
+    z = np.empty((len(samples), width))
+    for row, i in enumerate(samples):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        rng.standard_normal(width, out=z[row])
+    return z
+
+
+def _noisy_frames(t: Transform, dp, rv, checks):
+    """Per-sample rotations and translations of ``_noisy_transform``.
+
+    Moved frames that ``Transform`` would reject are added to ``checks``.
+    """
+    moved = np.any(dp, axis=1) | np.any(rv, axis=1)
+    noise = Rotation.from_rotvec(rv).as_matrix()
+    rot = np.matmul(t.rotation, noise)
+    pos = np.matmul(t.rotation, dp[:, :, None])[:, :, 0] + t.translation
+    with np.errstate(invalid="ignore"):
+        gram = np.matmul(rot.transpose(0, 2, 1), rot)
+        bad = ~(np.isfinite(rot).all(axis=(1, 2)) & np.isfinite(pos).all(axis=1))
+        bad |= np.max(np.abs(gram - np.eye(3)), axis=(1, 2)) > 1e-8
+        bad |= np.abs(np.linalg.det(rot) - 1.0) > 1e-8
+    checks.append((moved & bad, lambda s: compose(t, Transform(noise[s], dp[s]))))
+    rot[~moved] = t.rotation
+    pos[~moved] = t.translation
+    return rot, pos
+
+
+def _wrench_check(force, torque):
+    """Samples whose wrench ``Wrench`` would reject, and how it rejects one."""
+    finite = np.isfinite(force).all(axis=1) & np.isfinite(torque).all(axis=1)
+    return ~finite, lambda s: Wrench(force[s], torque[s])
+
+
+def _raise_first(checks):
+    """Raise what the scalar oracle raises: its first sample, first check.
+
+    ``checks`` pairs a mask of suspect samples with a callable that
+    re-runs the scalar step for one sample and raises its error.
+    """
+    suspect = np.array([mask for mask, _ in checks])
+    for s in np.flatnonzero(suspect.any(axis=0)):
+        for c in np.flatnonzero(suspect[:, s]):
+            checks[c][1](s)
+
+
+_PATCHES = (CircularPatchJoint, PolygonPatchJoint)
+
+
+def _perturbed_joints(chain, spec, z, fz_fac, checks):
+    """Per joint: (joint, rotations, translations, perturbed parameters).
+
+    Column layout of ``z`` after the six wrench columns: per patch joint,
+    the two parameter draws and then the six frame draws, as in
+    ``perturbed_case``.  Arm and rigid joints keep their nominal frame.
+    """
+    joints = []
+    col = 6
+    for joint, t in chain.joints:
+        if not isinstance(joint, _PATCHES):
+            joints.append((joint, t.rotation, t.translation, None))
+            continue
+        z_mu, z_p = z[:, col], z[:, col + 1]
+        dp = 0.0 + spec.frame_translation * z[:, col + 2 : col + 5]
+        rv = 0.0 + spec.frame_rotation * z[:, col + 5 : col + 8]
+        col += 8
+        rot, pos = _noisy_frames(t, dp, rv, checks)
+        mu = np.maximum(joint.mu * (1.0 + spec.mu_rel * z_mu), 0.0)
+        if isinstance(joint, CircularPatchJoint):
+            radius = np.maximum(joint.radius_r * (1.0 + spec.patch_rel * z_p), 1e-9)
+            fixed = joint.normal_force_N - joint.coupled_normal_force
+            normal = np.maximum(fixed + joint.coupled_normal_force * fz_fac, 0.0)
+            joints.append((joint, rot, pos, (mu, radius, normal)))
+            continue
+        scale = np.maximum(1.0 + spec.patch_rel * z_p, 0.0)
+        centroid = joint.corners.mean(axis=0)
+        corners = centroid + (joint.corners - centroid) * scale[:, None, None]
+        forces = joint.corner_normal_forces
+        checks.append(
+            (
+                np.max(np.abs(corners[:, :, 2]), axis=1) > 1e-9,
+                lambda s, mu=mu, corners=corners, forces=forces: PolygonPatchJoint(
+                    mu[s], corners[s], forces
+                ),
+            )
+        )
+        joints.append((joint, rot, pos, (mu, corners)))
+    return joints
+
+
+def _transmitted(chain, joints, wrench, checks):
+    """(samples, 6) wrench at each joint's test frame, as ``chain_stable``."""
+    gravity = chain.gravity_wrenches or (None,) * len(joints)
+    out = []
+    for (joint, rot, pos, _), extra in zip(joints, gravity):
+        f = np.matmul(rot, wrench[:, :3, None])[:, :, 0]
+        tau = np.matmul(rot, wrench[:, 3:, None])[:, :, 0] + np.cross(pos, f)
+        checks.append(_wrench_check(f, tau))
+        if extra is not None:
+            f, tau = f + extra.force, tau + extra.torque
+            checks.append(_wrench_check(f, tau))
+        if not isinstance(joint, (*_PATCHES, ArmJoint, RigidJoint)):
+            every = np.ones(len(wrench), dtype=bool)
+            checks.append((every, lambda s, joint=joint: joint_stable(joint, None)))
+        out.append(np.concatenate([f, tau], axis=1))
+    return out
+
+
+# Samples per vectorised pass, so that the arrays of one pass stay a few
+# hundred kB whatever the sample count.
+_BLOCK = 256
+
+
 def success_probability(
     chain: ForcefulKinematicChain,
     w: Wrench,
     spec: PerturbationSpec | None = None,
     seed: int = 0,
 ) -> float:
-    """Fraction of noise samples under which the chain stays stable."""
+    """Fraction of noise samples under which the chain stays stable.
+
+    Equals the share of ``chain_stable(*perturbed_case(chain, w, spec,
+    rng)).stable`` over ``rng = default_rng(SeedSequence((seed, i)))``,
+    sample by sample.
+    """
     spec = PerturbationSpec() if spec is None else spec
-    ok = 0
-    for i in range(spec.samples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        c2, w2 = perturbed_case(chain, w, spec, rng)
-        if chain_stable(c2, w2).stable:
-            ok += 1
-    return ok / spec.samples
+    # Arm joints carry no noise: one Jacobian serves every sample.
+    jacobians = [
+        robot.jacobian(joint.arm, joint.config_q) if isinstance(joint, ArmJoint) else None
+        for joint, _ in chain.joints
+    ]
+    stable = 0
+    for lo in range(0, spec.samples, _BLOCK):
+        samples = range(lo, min(lo + _BLOCK, spec.samples))
+        stable += _stable_count(chain, w, spec, seed, samples, jacobians)
+    return stable / spec.samples
+
+
+def _stable_count(chain, w, spec, seed, samples, jacobians) -> int:
+    """How many of ``samples`` keep the chain stable, in one vectorised pass."""
+    n = len(samples)
+    patches = sum(isinstance(joint, _PATCHES) for joint, _ in chain.joints)
+    z = _draws(samples, 6 + 8 * patches, seed)
+    fac = 1.0 + spec.wrench_rel * z[:, :6]
+    wrench = w.as_array() * fac
+    # Each check pairs the samples the scalar oracle may reject with a
+    # call that rejects one of them; the list keeps the oracle's order.
+    checks = [_wrench_check(wrench[:, :3], wrench[:, 3:])]
+    joints = _perturbed_joints(chain, spec, z, fac[:, 2], checks)
+    if w.frame and w.frame != chain.application_frame:
+        # chain_stable raises the frame error before it looks at a joint.
+        checks.append((np.ones(n, dtype=bool), lambda s: chain_stable(chain, w)))
+    transmitted = _transmitted(chain, joints, wrench, checks)
+    _raise_first(checks)
+
+    ok = np.ones(n, dtype=bool)
+    polygons = []
+    for (joint, _, _, params), wj, jac in zip(joints, transmitted, jacobians):
+        if isinstance(joint, CircularPatchJoint):
+            ok &= circular_patch_verdicts(*params, wj[:, :3], wj[:, 5])
+        elif isinstance(joint, ArmJoint):
+            tau = np.matmul(jac.T, wj[:, :, None])[:, :, 0]
+            ok &= np.max(np.abs(tau) / joint.arm.torque_limits, axis=1) < 1.0
+        elif isinstance(joint, PolygonPatchJoint):
+            polygons.append((joint, params, wj))
+    # A cone test costs one NNLS per sample, so it only runs on the samples
+    # every other joint holds.
+    for joint, (mu, corners), wj in polygons:
+        alive = np.flatnonzero(ok)
+        ok[alive] = polygon_patch_verdicts(
+            mu[alive], corners[alive], joint.corner_normal_forces, wj[alive]
+        )
+    return int(np.count_nonzero(ok))
 
 
 def cost_from_probability(p: float) -> float:

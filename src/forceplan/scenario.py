@@ -5,9 +5,10 @@ characters are ``//`` are dropped before parsing.  Every key is checked
 against the domain's defaults; a typo anywhere fails loading with the
 full dotted path of the offending key, and so does a value of the wrong
 type (an integer setting given a fraction, a list element of the wrong
-type) or out of range (a negative force, mass, radius, friction
-coefficient or noise scale, fewer than one sample, a weight spot off the
-slat).
+type), of the wrong length (a coordinate pair without exactly two
+numbers), repeated (an arm named twice) or out of range (a negative
+force, mass, radius, friction coefficient or noise scale, fewer than one
+sample, a weight spot off the slat).
 
 Ablation stages apply cumulatively: each stage's ``overrides`` (dotted
 paths into scene/operation/perturbation) and ``disable`` entries stack
@@ -141,11 +142,21 @@ def _nonnegative(path: str) -> bool:
     )
 
 
-def _check_ranges(node: dict, path: str):
+def _pair(path: str) -> bool:
+    """Coordinate pairs: ``*_xy``, ``*_half_extents`` and each arm base."""
+    return any(
+        part.endswith(("_xy", "_half_extents", "arm_bases"))
+        for part in path.split(".")[1:]
+    )
+
+
+def _check_leaves(node: dict, path: str):
     for key, value in node.items():
         sub = f"{path}.{key}" if path else key
         if isinstance(value, dict):
-            _check_ranges(value, sub)
+            _check_leaves(value, sub)
+        elif _pair(sub) and len(value) != 2:
+            raise ConfigError(f"'{sub}' must hold exactly 2 numbers, got {len(value)}")
         elif _nonnegative(sub):
             values = value if isinstance(value, list) else [value]
             if any(v < 0 for v in values):
@@ -153,14 +164,17 @@ def _check_ranges(node: dict, path: str):
 
 
 def _check_sections(sections: dict):
-    """Cross-key and range checks of merged scene/operation/perturbation."""
-    _check_ranges(sections, "")
+    """Cross-key, length and range checks of merged scene/operation/perturbation."""
+    _check_leaves(sections, "")
     if sections["perturbation"]["samples"] < 1:
         raise ConfigError("'perturbation.samples' must be at least 1")
     scene = sections["scene"]
-    for arm in scene.get("arms", []):
+    arms = scene.get("arms", [])
+    for i, arm in enumerate(arms):
         if arm not in scene["arm_bases"]:
             raise ConfigError(f"'scene.arms' names unknown arm '{arm}'")
+        if arm in arms[:i]:
+            raise ConfigError(f"'scene.arms' names arm '{arm}' twice")
     for i, spot in enumerate(scene.get("weight_spots", [])):
         if abs(spot) > scene["beam_length"] / 2.0:
             raise ConfigError(

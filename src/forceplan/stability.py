@@ -27,6 +27,13 @@ Margins
 
 In every case margin > 0 exactly when the joint verdict is stable, with
 strict inequalities at the boundary.
+
+Batched verdicts
+----------------
+``circular_patch_verdicts`` and ``polygon_patch_verdicts`` give the
+verdicts of ``joint_stable`` for many perturbed copies of one patch at
+once, with the same arithmetic, so they agree with it exactly.  They skip
+the margins, which a verdict never needs.
 """
 
 from __future__ import annotations
@@ -48,8 +55,11 @@ __all__ = [
     "ForcefulKinematicChain",
     "StabilityVerdict",
     "limit_surface_stable",
+    "circular_patch_verdicts",
     "friction_cone_generators",
+    "friction_cone_generators_batch",
     "in_convex_cone",
+    "polygon_patch_verdicts",
     "beam_support_forces",
     "joint_stable",
     "chain_stable",
@@ -287,6 +297,31 @@ def limit_surface_stable(w_planar, joint: CircularPatchJoint) -> StabilityVerdic
     return StabilityVerdict(margin > 0.0, margin)
 
 
+def circular_patch_verdicts(mu, radius, normal_force, force, torque_z) -> np.ndarray:
+    """``joint_stable(...).stable`` of S circular patches at once.
+
+    Sample s is the patch with ``mu[s]``, ``radius[s]`` and
+    ``normal_force[s]`` transmitting the force ``force[s]`` and the moment
+    ``torque_z[s]`` about its normal.  Squares go through ``float_power``,
+    the libm ``pow`` behind the scalar ``x ** 2``; ``x * x`` differs from
+    it in the last bit of some inputs.
+    """
+    fx, fy, fz = force.T
+    pulled = fz > 1e-9 * np.maximum(normal_force, 1.0)
+    capacity = normal_force * mu
+    k = _TWIST_RADIUS_FACTOR * radius
+    loaded = np.abs(np.column_stack([fx, fy, torque_z])) > 0.0
+    twist = loaded[:, 2]
+    with np.errstate(all="ignore"):
+        planar = np.float_power(fx, 2) + np.float_power(fy, 2)
+        form = planar / np.float_power(capacity, 2)
+        form = form + np.where(
+            twist, np.float_power(torque_z, 2) / np.float_power(capacity * k, 2), 0.0
+        )
+        inside = (1.0 - form > 0.0) & ~(twist & (k <= 0.0))
+    return ~pulled & np.where(capacity <= 0.0, ~loaded.any(axis=1), inside)
+
+
 def friction_cone_generators(joint: PolygonPatchJoint) -> np.ndarray:
     """Wrench-space generators of the patch reaction cone.
 
@@ -310,6 +345,32 @@ def friction_cone_generators(joint: PolygonPatchJoint) -> np.ndarray:
     if not rows:
         return np.zeros((0, 6))
     return np.vstack(rows)
+
+
+def friction_cone_generators_batch(mu, corners, normal_forces) -> np.ndarray:
+    """``friction_cone_generators`` of S samples of one patch at once.
+
+    Sample s has friction ``mu[s]`` and corners ``corners[s]`` (shape
+    (S, m, 3)); the corner normal forces are shared.  Row s equals the
+    scalar generators bit for bit wherever ``mu[s] != 0``; a frictionless
+    sample keeps one generator per corner, so take those from the scalar
+    function.
+    """
+    loaded = ~(normal_forces <= 0.0)
+    n_force = normal_forces[loaded][None, :, None]
+    mu = mu[:, None, None]
+    zero = np.zeros_like(mu)
+    out = np.empty((len(mu), n_force.size, 4, 6))
+    out[..., 0] = n_force * np.concatenate([mu, -mu, zero, zero], axis=2)
+    out[..., 1] = n_force * np.concatenate([zero, zero, mu, -mu], axis=2)
+    out[..., 2] = n_force * 1.0
+    # The products and differences of np.cross(corner, f), written in place.
+    c = corners[:, loaded, None, :]
+    f = out[..., :3]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out[..., 3 + i] = c[..., j] * f[..., k] - c[..., k] * f[..., j]
+    return out.reshape(len(mu), 4 * n_force.size, 6)
 
 
 def _cone_feasible(w: np.ndarray, generators: np.ndarray, tol: float):
@@ -361,6 +422,27 @@ def in_convex_cone(w, generators, tol: float = _CONE_TOL):
         else:
             lo = mid
     return True, hi
+
+
+def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
+    """``joint_stable(...).stable`` of S samples of one polygon patch.
+
+    Sample s is the patch with ``mu[s]`` and ``corners[s]`` transmitting
+    ``wrenches[s]`` (force over torque).  Only the verdict is computed:
+    one NNLS feasibility test per sample.  The margin bisection of
+    ``in_convex_cone`` never changes it, since a feasible wrench always
+    reports a margin of at least 0.5.
+    """
+    generators = friction_cone_generators_batch(mu, corners, normal_forces)
+    verdicts = np.empty(len(mu), dtype=bool)
+    for s in range(len(mu)):
+        g = generators[s]
+        if mu[s] == 0.0:
+            g = friction_cone_generators(
+                PolygonPatchJoint(mu[s], corners[s], normal_forces)
+            )
+        verdicts[s] = _cone_feasible(-wrenches[s], g, _CONE_TOL)[0]
+    return verdicts
 
 
 def beam_support_forces(

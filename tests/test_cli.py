@@ -62,6 +62,18 @@ class TestSolve:
         assert "scene.grippers" in capsys.readouterr().err
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "scene, reported",
+        [('{"bottle_xy": [0.0]}', "scene.bottle_xy"), ('{"arms": ["arm0", "arm0"]}', "scene.arms")],
+    )
+    def test_short_pair_and_repeated_arm_exit_1(self, tmp_path, capsys, scene, reported):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"domain": "bottle-cap", "scene": {scene}}}')
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"'{reported}'" in err
+        assert "Traceback" not in err
+
     def test_bad_stage_value_exits_1_before_any_solve(self, tmp_path, capsys):
         bad = tmp_path / "bad_stage.json"
         bad.write_text(

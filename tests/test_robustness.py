@@ -1,27 +1,39 @@
-"""Monte Carlo robustness: determinism, calibration, and shared-noise order."""
+"""Monte Carlo robustness: determinism, calibration, shared-noise order, and
+exact agreement of the batched estimate with the scalar oracle."""
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
+from forceplan import cli
+from forceplan.robot import default_arm, planar_two_link_arm
 from forceplan.robustness import (
     PerturbationSpec,
     chain_cost,
     cost_from_probability,
+    _draws,
+    _perturbed_joints,
+    _transmitted,
     perturbed_case,
     success_probability,
 )
-from forceplan.spatial import Transform, Wrench
+from forceplan.spatial import Transform, Wrench, transform_wrench
 from forceplan.stability import (
+    ArmJoint,
     CircularPatchJoint,
     ForcefulKinematicChain,
     PolygonPatchJoint,
     RigidJoint,
     chain_stable,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def normal_cdf(x):
@@ -179,3 +191,233 @@ class TestSpec:
             PerturbationSpec(mu_rel=-0.1)
         with pytest.raises(ValueError):
             PerturbationSpec(samples=0)
+
+
+def oracle_success_probability(chain, w, spec, seed):
+    """The scalar estimator: one ``perturbed_case`` + ``chain_stable`` per sample."""
+    ok = 0
+    for i in range(spec.samples):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        c2, w2 = perturbed_case(chain, w, spec, rng)
+        if chain_stable(c2, w2).stable:
+            ok += 1
+    return ok / spec.samples
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+small = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def transforms(draw):
+    # Small tilts keep a pressing wrench pressing, so patch joints spend
+    # time near their friction limits and not only pulled apart.
+    tilt = draw(st.sampled_from([0.5, 3.0]))
+    rv = [tilt * draw(small), tilt * draw(small), 3.0 * draw(small)]
+    p = [0.2 * draw(small) for _ in range(3)]
+    return Transform(Rotation.from_rotvec(rv).as_matrix(), p)
+
+
+@st.composite
+def wrenches(draw, force=20.0, torque=2.0, frame=""):
+    f = [force * draw(small), force * draw(small), force * draw(st.floats(-2.0, 0.5))]
+    tau = [torque * draw(small) for _ in range(3)]
+    return Wrench(f, tau, frame)
+
+
+# Friction, radius and normal forces are exactly zero in a quarter of the draws,
+# to reach the zero-capacity and frictionless branches.
+def zero_or(lo, hi):
+    positive = st.floats(min_value=lo, max_value=hi)
+    return st.one_of(st.just(0.0), positive, positive, positive)
+
+
+frictions = zero_or(0.05, 1.5)
+corner_forces = zero_or(0.5, 20.0)
+
+
+@st.composite
+def joints(draw):
+    kind = draw(st.sampled_from(["circular", "polygon", "arm", "rigid"]))
+    if kind == "circular":
+        normal = draw(zero_or(1.0, 30.0))
+        coupled = normal * draw(st.floats(min_value=0.0, max_value=1.0))
+        radius = draw(zero_or(0.005, 0.05))
+        return CircularPatchJoint(draw(frictions), radius, normal, "patch", coupled)
+    if kind == "polygon":
+        m = draw(st.integers(min_value=1, max_value=4))
+        corners = [[0.1 * draw(small), 0.1 * draw(small), 0.0] for _ in range(m)]
+        forces = [draw(corner_forces) for _ in range(m)]
+        return PolygonPatchJoint(draw(frictions), corners, forces, "slat")
+    if kind == "arm":
+        arm = draw(st.sampled_from([planar_two_link_arm(0.4, 0.3), default_arm()]))
+        lo, hi = arm.position_limits[:, 0], arm.position_limits[:, 1]
+        q = [draw(st.floats(min_value=a, max_value=b)) for a, b in zip(lo, hi)]
+        return ArmJoint(arm, q)
+    return RigidJoint("weld")
+
+
+@st.composite
+def chains(draw):
+    size = draw(st.sampled_from(range(5)))
+    links = [(draw(joints()), draw(transforms())) for _ in range(size)]
+    gravity = None
+    if links and draw(st.booleans()):
+        gravity = tuple(
+            draw(st.one_of(st.none(), wrenches(force=30.0, torque=1.0))) for _ in links
+        )
+    return ForcefulKinematicChain("app", tuple(links), gravity)
+
+
+@st.composite
+def specs(draw):
+    def scale(hi):
+        return draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=hi)))
+
+    return PerturbationSpec(
+        mu_rel=scale(0.5),
+        wrench_rel=scale(0.5),
+        frame_translation=scale(0.02),
+        frame_rotation=scale(0.3),
+        patch_rel=scale(0.5),
+        # 300 spans more than one vectorised pass.
+        samples=draw(st.sampled_from([1, 7, 100, 300])),
+    )
+
+
+def near_boundary(chain, w, factor):
+    """``w`` scaled to ``factor`` times where the nominal chain stops holding.
+
+    Noise then flips the verdict of some samples but not all.  ``w`` is
+    kept as it is when no scale of it both holds and fails.
+    """
+
+    def holds(scale):
+        return chain_stable(chain, Wrench(w.force * scale, w.torque * scale, w.frame)).stable
+
+    hi = 1.0
+    while holds(hi) and hi < 1e6:
+        hi *= 4.0
+    if not holds(0.0) or holds(hi):
+        return w
+    lo = 0.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return Wrench(w.force * hi * factor, w.torque * hi * factor, w.frame)
+
+
+class TestBatchedAgreesWithScalarOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chains(),
+        wrenches(frame="app") | wrenches(frame=""),
+        st.floats(min_value=0.95, max_value=1.05),
+        specs(),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_random_chains_agree_exactly(self, chain, w, factor, spec, seed):
+        w = near_boundary(chain, w, factor)
+        expected = oracle_success_probability(chain, w, spec, seed)
+        assert success_probability(chain, w, spec, seed) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(chains(), specs(), st.integers(min_value=0, max_value=1000))
+    def test_foreign_frame_raises_the_oracle_error(self, chain, spec, seed):
+        w = Wrench([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], "elsewhere")
+        expected = raised(oracle_success_probability, chain, w, spec, seed)
+        assert expected[0] is ValueError
+        assert raised(success_probability, chain, w, spec, seed) == expected
+
+    def test_overflowing_wrench_raises_the_oracle_error(self):
+        chain = single_patch_chain(0.5, 0.05, 10.0)
+        w = Wrench([1e308, 0, 0], [0, 0, 0], frame="contact")
+        spec = PerturbationSpec(wrench_rel=10.0, samples=7)
+        expected = raised(oracle_success_probability, chain, w, spec, 1)
+        assert expected == (ValueError, "wrench components must be finite")
+        assert raised(success_probability, chain, w, spec, 1) == expected
+
+    def test_non_finite_frame_noise_raises_the_oracle_error(self):
+        chain = single_patch_chain(0.5, 0.05, 10.0)
+        w = Wrench([1.0, 0, 0], [0, 0, 0], frame="contact")
+        spec = PerturbationSpec(frame_translation=math.inf, samples=3)
+        expected = raised(oracle_success_probability, chain, w, spec, 2)
+        assert expected == (ValueError, "transform entries must be finite")
+        assert raised(success_probability, chain, w, spec, 2) == expected
+
+    def test_unknown_joint_raises_the_oracle_error(self):
+        chain = ForcefulKinematicChain("obj", ((object(), Transform.identity()),))
+        w = Wrench([1.0, 0, 0], [0, 0, 0], frame="obj")
+        spec = PerturbationSpec(samples=3)
+        expected = raised(oracle_success_probability, chain, w, spec, 0)
+        assert expected[0] is TypeError
+        assert raised(success_probability, chain, w, spec, 0) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(chains(), wrenches(frame="app"), specs(), st.integers(min_value=0, max_value=1000))
+    def test_transmitted_wrenches_are_the_scalar_wrenches_bit_for_bit(
+        self, chain, w, spec, seed
+    ):
+        # Verdicts hide last-bit differences away from a boundary, so the
+        # wrenches each joint receives are compared directly.
+        patches = sum(isinstance(j, (CircularPatchJoint, PolygonPatchJoint)) for j, _ in chain.joints)
+        z = _draws(range(spec.samples), 6 + 8 * patches, seed)
+        fac = 1.0 + spec.wrench_rel * z[:, :6]
+        wrench = w.as_array() * fac
+        joints = _perturbed_joints(chain, spec, z, fac[:, 2], [])
+        batched = _transmitted(chain, joints, wrench, [])
+        for i in range(spec.samples):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+            c2, w2 = perturbed_case(chain, w, spec, rng)
+            for idx, (_, t) in enumerate(c2.joints):
+                wj = transform_wrench(w2, t)
+                extra = (c2.gravity_wrenches or (None,) * len(c2.joints))[idx]
+                if extra is not None:
+                    wj = Wrench(wj.force + extra.force, wj.torque + extra.torque)
+                assert batched[idx][i].tobytes() == wj.as_array().tobytes()
+
+    @pytest.mark.parametrize("scenario", ["bottle_default.json", "nut_default.json"])
+    def test_every_robustness_chain_agrees(self, scenario, monkeypatch, capsys):
+        calls = []
+
+        def record(chain, w, spec, seed):
+            p = success_probability(chain, w, spec, seed)
+            calls.append((p, oracle_success_probability(chain, w, spec, seed)))
+            return p
+
+        monkeypatch.setattr(cli, "success_probability", record)
+        assert cli.main(["robustness", str(SCENARIOS / scenario), "--samples", "100"]) == 0
+        assert len(calls) == 40
+        assert all(p == q for p, q in calls)
+        assert any(0.0 < p < 1.0 for p, _ in calls)
+
+
+class TestDrawLayout:
+    """One standard normal vector per sample, scaled afterwards, is the
+    documented sequence of draws bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    @pytest.mark.parametrize("patches", [0, 1, 3])
+    @pytest.mark.parametrize("s_t, s_r", [(0.002, 0.017), (0.0, 0.0), (0.0, 0.3)])
+    def test_one_vector_equals_sequential_draws(self, seed, patches, s_t, s_r):
+        rows = _draws(range(100), 6 + 8 * patches, seed)
+        for i in (0, 1, 99):
+            z = rows[i].copy()
+            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+            parts = [rng.standard_normal(6)]
+            for _ in range(patches):
+                parts += [
+                    rng.standard_normal(2),
+                    rng.normal(0.0, s_t, 3),
+                    rng.normal(0.0, s_r, 3),
+                ]
+            for p in range(patches):
+                c = 6 + 8 * p
+                z[c + 2 : c + 5] = 0.0 + s_t * z[c + 2 : c + 5]
+                z[c + 5 : c + 8] = 0.0 + s_r * z[c + 5 : c + 8]
+            assert z.tobytes() == np.concatenate(parts).tobytes()

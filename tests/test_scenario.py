@@ -149,6 +149,13 @@ class TestValues:
                 "operation.extra_force_levels[0]",
             ),
             ("bottle-cap", "budget.max_levels", 1.5, "budget.max_levels"),
+            ("bottle-cap", "scene.bottle_xy", [0.0], "scene.bottle_xy"),
+            ("bottle-cap", "scene.hand_pad_half_extents", [0.03, 0.02, 0.01],
+             "scene.hand_pad_half_extents"),
+            ("bottle-cap", "scene.arm_bases.arm1", [], "scene.arm_bases.arm1"),
+            ("nut-fastening", "scene.weight_xy.w2", [-0.1], "scene.weight_xy.w2"),
+            ("bottle-cap", "scene.arms", ["arm0", "arm0"], "scene.arms"),
+            ("nut-fastening", "scene.arms", ["arm1", "arm0", "arm1"], "scene.arms"),
         ],
     )
     def test_bad_values_name_the_dotted_path(self, domain, dotted, value, reported):

@@ -15,6 +15,7 @@ from forceplan.stability import (
     beam_support_forces,
     chain_stable,
     friction_cone_generators,
+    friction_cone_generators_batch,
     in_convex_cone,
     joint_stable,
     limit_surface_stable,
@@ -181,6 +182,26 @@ class TestFrictionCone:
             feasible, _ = in_convex_cone(w, gens)
             if feasible:
                 assert np.hypot(w[0], w[1]) <= 0.5 * w[2] + 1e-6
+
+    def test_batch_generators_are_the_scalar_generators_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for m in (1, 3, 4):
+            corners = np.concatenate(
+                [rng.uniform(-0.2, 0.2, (40, m, 2)), np.zeros((40, m, 1))], axis=2
+            )
+            forces = rng.uniform(0.0, 10.0, m)
+            forces[0] = 0.0
+            mu = rng.uniform(0.0, 1.0, 40)
+            mu[::7] = -0.0
+            batch = friction_cone_generators_batch(mu, corners, forces)
+            for s in range(40):
+                if mu[s] == 0.0:
+                    continue
+                scalar = friction_cone_generators(
+                    PolygonPatchJoint(mu[s], corners[s], forces)
+                )
+                assert batch[s].shape == scalar.shape
+                assert batch[s].tobytes() == scalar.tobytes()
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(12)
