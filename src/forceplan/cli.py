@@ -134,20 +134,22 @@ def cmd_ablate(args) -> int:
 def _parse_sweep(text: str) -> np.ndarray:
     try:
         lo, hi, count = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"--sweep must look like 'lo:hi:count', got '{text}'")
-    if len(grid) == 0:
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"--sweep bounds must be finite, got '{text}'")
+    if count < 1:
         raise ConfigError("--sweep needs at least one point")
-    return grid
+    return np.linspace(lo, hi, count)
 
 
 def _bottle_rows(world, resolved, spec):
     cfg = world.cfg
     arm = cfg["arms"][0]
-    q_hand = world.scene.reach(arm, world.twist_hand_target(world.bottle_pose))
+    q_hand = world.reach(arm, world.twist_hand_target(world.bottle_pose))
     q_tool = (
-        world.scene.reach(arm, world.tool_twist_target(world.bottle_pose))
+        world.reach(arm, world.tool_twist_target(world.bottle_pose))
         if cfg["tool"]
         else None
     )
@@ -181,7 +183,7 @@ def _nut_rows(world, resolved, spec, grid):
         grid = np.linspace(0.25, 5.0, 20)
     spot = world.cfg["weight_spots"][0]
     arm = world.cfg["arms"][0]
-    q_carry = world.scene.reach(arm, world.weight_place_target(spot))
+    q_carry = world.reach(arm, world.weight_place_target(spot))
     rows = []
     for mass in grid:
         chain, w = world.fixture_chain("weight-hold", (float(mass), spot))
@@ -226,6 +228,13 @@ def cmd_robustness(args) -> int:
     return 0
 
 
+def _check_args(args):
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+    if getattr(args, "samples", 1) < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="forceplan",
@@ -257,6 +266,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -204,14 +204,14 @@ class BottleWorld(World):
         else:
             normal, coupled = push, push
         patch = support_patch_joint(
-            self.scene.mu(pair), cfg[radius], normal, coupled=coupled, contact_frame="cap"
+            self.mu(pair), cfg[radius], normal, coupled=coupled, contact_frame="cap"
         )
         joints = [(patch, Transform.identity())]
         gravity = [None]
         ee_offset = (0.0, 0.0, 0.0)
         if strategy == "twist-tool":
             pads, preload = pad_grasp_joint(
-                self.scene.mu("hand-tool"),
+                self.mu("hand-tool"),
                 cfg["tool_pad_half_extents"],
                 cfg["tool_grip_force"],
                 contact_frame="tool_pads",
@@ -230,7 +230,7 @@ class BottleWorld(World):
         if route in ("table-friction", "mat-friction"):
             surface = "table" if route == "table-friction" else "mat"
             patch = support_patch_joint(
-                self.scene.mu(f"bottle-{surface}"),
+                self.mu(f"bottle-{surface}"),
                 cfg["base_radius"],
                 cfg["bottle_mass"] * GRAVITY + extra,
                 coupled=extra,
@@ -250,7 +250,7 @@ class BottleWorld(World):
         """Carrying an object in the pinch grasp, loaded by its own weight."""
         mass, pair, height = _CARRIED[obj]
         return self.pinch_carry_chain(
-            self.cfg[mass], self.scene.mu(pair), self.cfg[height], arm_name, q
+            self.cfg[mass], self.mu(pair), self.cfg[height], arm_name, q
         )
 
 
@@ -313,7 +313,6 @@ def build_problem(
             return []
         return [(float(e),) for e in world.op["extra_force_levels"]]
 
-    scene = world.scene
     at_bottle = (("Arm", "?a"), ("Pose", "bottle", "?p"))
     streams = [
         Stream(
@@ -321,13 +320,13 @@ def build_problem(
             (("Placement", "?o", "?p", "?s"), ("Pose", "?o", "?p")),
             sample_placement,
         ),
-        *grasp_streams(scene, world.object_grasp),
+        *grasp_streams(world, world.object_grasp),
         reach_stream(
-            scene, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
+            world, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
             lambda b: world.twist_hand_target(b["?p"].payload),
         ),
         reach_stream(
-            scene, "reach-cap-removal", at_bottle, ("RemovalReady", "?a", "?p"),
+            world, "reach-cap-removal", at_bottle, ("RemovalReady", "?a", "?p"),
             lambda b: world.cap_removal_target(b["?p"].payload),
         ),
         connect_stream(),
@@ -338,7 +337,7 @@ def build_problem(
     if cfg["tool"] and "twist-tool" not in disable:
         streams.append(
             reach_stream(
-                scene, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
+                world, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
                 ("ToolTwistReady", "?a", "?p", "?g"),
                 lambda b: world.tool_twist_target(b["?p"].payload),
             )

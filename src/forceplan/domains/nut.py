@@ -161,7 +161,7 @@ class NutWorld(World):
         gravity = []
         if strategy == "finger-twist":
             patch = support_patch_joint(
-                self.scene.mu("hand-nut"), cfg["nut_radius"], cfg["grip_force"],
+                self.mu("hand-nut"), cfg["nut_radius"], cfg["grip_force"],
                 contact_frame="nut",
             )
             joints.append((patch, Transform.identity()))
@@ -172,7 +172,7 @@ class NutWorld(World):
             joints.append((RigidJoint("socket"), Transform.identity()))
             gravity.append(None)
             pads, preload = pad_grasp_joint(
-                self.scene.mu("hand-spanner"),
+                self.mu("hand-spanner"),
                 cfg["hand_pad_half_extents"],
                 cfg["spanner_grip_force"],
                 contact_frame="spanner_pads",
@@ -206,7 +206,7 @@ class NutWorld(World):
             cfg["beam_length"], cfg["beam_width"], cfg["beam_mass"], mass, spot
         )
         patch = PolygonPatchJoint(
-            mu=self.scene.mu("beam-table"),
+            mu=self.mu("beam-table"),
             corners=corners,
             corner_normal_forces=forces,
             contact_frame="beam_table",
@@ -223,7 +223,7 @@ class NutWorld(World):
         cfg = self.cfg
         if obj == "spanner":
             return self.pinch_carry_chain(
-                cfg["spanner_mass"], self.scene.mu("hand-spanner"),
+                cfg["spanner_mass"], self.mu("hand-spanner"),
                 cfg["spanner_grasp_height"], arm_name, q,
             )
         return self.carry_chain(cfg["weights"][obj], arm_name, q)
@@ -231,7 +231,7 @@ class NutWorld(World):
     def carry_chain(self, mass: float, arm_name: str, q):
         """Pinch-carry of a dead weight of the given mass."""
         return self.pinch_carry_chain(
-            mass, self.scene.mu("hand-weight"), self.cfg["weight_grasp_height"],
+            mass, self.mu("hand-weight"), self.cfg["weight_grasp_height"],
             arm_name, q,
         )
 
@@ -269,20 +269,19 @@ def build_problem(
 
     # ---- streams ----------------------------------------------------------
 
-    scene = world.scene
     arm = (("Arm", "?a"),)
     streams = [
-        *grasp_streams(scene, world.object_grasp),
+        *grasp_streams(world, world.object_grasp),
         reach_stream(
-            scene, "reach-nut", arm, ("NutReady", "?a"),
+            world, "reach-nut", arm, ("NutReady", "?a"),
             lambda b: world.nut_twist_target(),
         ),
         reach_stream(
-            scene, "reach-beam-grip", arm, ("BeamGripReady", "?a"),
+            world, "reach-beam-grip", arm, ("BeamGripReady", "?a"),
             lambda b: world.beam_grasp_target(),
         ),
         reach_stream(
-            scene, "reach-weight-spot",
+            world, "reach-weight-spot",
             arm + (("Weight", "?w"), ("Spot", "?u"), ("Grasp", "?w", "?g")),
             ("SpotKin", "?a", "?w", "?u", "?g"),
             lambda b: world.weight_place_target(b["?u"].payload),
@@ -292,7 +291,7 @@ def build_problem(
     if cfg["spanner"] and "spanner-twist" not in disable:
         streams.append(
             reach_stream(
-                scene, "reach-spanner-drive", arm + (("Grasp", "spanner", "?g"),),
+                world, "reach-spanner-drive", arm + (("Grasp", "spanner", "?g"),),
                 ("SpannerReady", "?a", "?g"),
                 lambda b: world.spanner_twist_target(),
             )

@@ -1,7 +1,8 @@
 """Shared scene scaffolding and the skeleton both task domains build on.
 
-A scene owns the frame tree, the arms with their base placements, and the
-friction table.  Both domains are one construction on top of it: a twist
+A ``World`` owns the scene configuration, the arms with their base
+placements, and the friction table, and solves IK for world-frame hand
+targets.  Both domains are one construction on top of it: a twist
 action variant for every hand strategy and fixture route, priced by a
 hand-side chain and a fixture-side chain, plus the grasp, reach, move and
 pick plumbing that brings a hand to the work.  What the domains share lives
@@ -22,13 +23,13 @@ Contact frame conventions used by the joint builders:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..planner import ActionSchema, Stream
-from ..robot import SerialArm, default_arm, ik
-from ..spatial import FrameTree, Transform, Wrench, rot_y
+from ..robot import default_arm, ik
+from ..spatial import Transform, Wrench, rot_y
 from ..stability import (
     GRAVITY,
     ArmJoint,
@@ -39,7 +40,6 @@ from ..stability import (
 )
 
 __all__ = [
-    "Scene",
     "World",
     "GraspSpec",
     "tool_down_rotation",
@@ -143,43 +143,6 @@ def beam_corner_forces(length, width, slat_mass, load_mass, load_center):
     return corners, forces
 
 
-@dataclass
-class Scene:
-    """Frames, arms, and material pairs shared by a planning problem."""
-
-    friction: dict
-    tree: FrameTree = field(default_factory=FrameTree)
-    arms: dict = field(default_factory=dict)
-    initial_configs: dict = field(default_factory=dict)
-
-    def add_arm(self, name: str, base_xy, arm: SerialArm | None = None, q0=None):
-        arm = arm or default_arm(name=name, base_frame=f"{name}_base")
-        base = Transform(np.eye(3), np.array([base_xy[0], base_xy[1], 0.0]))
-        self.tree.add_frame(f"{name}_base", "world", base)
-        self.arms[name] = arm
-        self.initial_configs[name] = (
-            np.zeros(arm.dof) if q0 is None else np.asarray(q0, dtype=float)
-        )
-        return arm
-
-    def arm_base(self, name: str) -> Transform:
-        return self.tree.get_transform(f"{name}_base", "world")
-
-    def mu(self, pair: str) -> float:
-        if pair not in self.friction:
-            raise KeyError(f"no friction entry for {pair}")
-        return float(self.friction[pair])
-
-    def reach(self, arm_name: str, world_target: Transform, seed_q=None):
-        """IK in the arm's base frame for a world-frame hand target."""
-        base = self.arm_base(arm_name)
-        local = Transform(
-            base.rotation.T @ world_target.rotation,
-            base.rotation.T @ (world_target.translation - base.translation),
-        )
-        return ik(self.arms[arm_name], local, initial_q=seed_q)
-
-
 @dataclass(frozen=True)
 class GraspSpec:
     """Hand pose relative to the object, plus a label for reporting."""
@@ -189,10 +152,6 @@ class GraspSpec:
 
     def to_dict(self) -> dict:
         return {"offset": self.offset.to_dict(), "label": self.label}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GraspSpec":
-        return GraspSpec(Transform.from_dict(d["offset"]), d["label"])
 
 
 def pinch_grasp(obj: str, height: float) -> GraspSpec:
@@ -211,25 +170,45 @@ def grasp_target(pose: Transform, grasp: GraspSpec) -> Transform:
 
 
 class World:
-    """A domain's scene configuration and the scene built from it.
+    """A domain's scene: its configuration, arms, arm bases and friction table.
 
     ``cfg`` is the scenario's resolved ``scene`` section and ``op`` its
     ``operation`` section; both domains name their arms, arm bases,
-    friction table, grip force and hand pads alike.
+    friction table, grip force and hand pads alike.  Every arm is a
+    ``default_arm`` whose base sits on the floor, axis-aligned with the
+    world, at its ``arm_bases`` position.
     """
 
     def __init__(self, cfg: dict, op: dict):
         self.cfg = cfg
         self.op = op
-        self.scene = Scene(friction=dict(cfg["friction"]))
+        self.friction = dict(cfg["friction"])
+        self.arms = {}
+        self.arm_bases = {}
         for name in cfg["arms"]:
-            self.scene.add_arm(name, cfg["arm_bases"][name])
+            x, y = cfg["arm_bases"][name]
+            self.arms[name] = default_arm(name=name, base_frame=f"{name}_base")
+            self.arm_bases[name] = Transform(np.eye(3), np.array([x, y, 0.0]))
+
+    def mu(self, pair: str) -> float:
+        if pair not in self.friction:
+            raise KeyError(f"no friction entry for {pair}")
+        return float(self.friction[pair])
+
+    def reach(self, arm_name: str, world_target: Transform):
+        """IK in the arm's base frame for a world-frame hand target."""
+        base = self.arm_bases[arm_name]
+        local = Transform(
+            base.rotation.T @ world_target.rotation,
+            base.rotation.T @ (world_target.translation - base.translation),
+        )
+        return ik(self.arms[arm_name], local)
 
     def arm_facts(self, registry):
-        """Static and initial facts of every arm: empty, at its initial conf."""
+        """Static and initial facts of every arm: empty, at the zero conf."""
         statics, init = [], []
-        for arm_name in self.cfg["arms"]:
-            q0 = registry.add("conf", self.scene.initial_configs[arm_name])
+        for arm_name, arm in self.arms.items():
+            q0 = registry.add("conf", np.zeros(arm.dof))
             statics += [("Arm", arm_name), ("Conf", arm_name, q0)]
             init += [("AtConf", arm_name, q0), ("HandEmpty", arm_name)]
         return statics, init
@@ -237,7 +216,7 @@ class World:
     def arm_link(self, arm_name: str, q, app_to_ee_world=(0.0, 0.0, 0.0)):
         # Arm bases are axis-aligned with the world, so the torque check
         # frame only shifts the moment origin to the end effector.
-        joint = ArmJoint(self.scene.arms[arm_name], np.asarray(q, dtype=float))
+        joint = ArmJoint(self.arms[arm_name], np.asarray(q, dtype=float))
         t = Transform(np.eye(3), -np.asarray(app_to_ee_world, dtype=float))
         return joint, t
 
@@ -263,7 +242,7 @@ class World:
 # ---- streams ---------------------------------------------------------------
 
 
-def reach_stream(scene: Scene, name: str, domain: tuple, fact: tuple, target) -> Stream:
+def reach_stream(world: World, name: str, domain: tuple, fact: tuple, target) -> Stream:
     """IK stream: a configuration ``?q`` of arm ``?a`` at ``target(binding)``.
 
     The arguments of ``fact`` are the stream's inputs; it certifies
@@ -273,7 +252,7 @@ def reach_stream(scene: Scene, name: str, domain: tuple, fact: tuple, target) ->
     def sample(binding, attempt, rng):
         if attempt > 0:
             return []
-        q = scene.reach(binding["?a"], target(binding))
+        q = world.reach(binding["?a"], target(binding))
         return [] if q is None else [(q,)]
 
     return Stream(
@@ -281,7 +260,7 @@ def reach_stream(scene: Scene, name: str, domain: tuple, fact: tuple, target) ->
     )
 
 
-def grasp_streams(scene: Scene, object_grasp) -> list:
+def grasp_streams(world: World, object_grasp) -> list:
     """``grasp-for`` (one grasp per graspable object) and ``reach-grasp``."""
 
     def sample_grasp(binding, attempt, rng):
@@ -295,7 +274,7 @@ def grasp_streams(scene: Scene, object_grasp) -> list:
             (("Grasp", "?o", "?g"),), sample_grasp,
         ),
         reach_stream(
-            scene, "reach-grasp",
+            world, "reach-grasp",
             (("Arm", "?a"), ("Pose", "?o", "?p"), ("Grasp", "?o", "?g")),
             ("Kin", "?a", "?o", "?p", "?g"),
             lambda b: grasp_target(b["?p"].payload, b["?g"].payload),

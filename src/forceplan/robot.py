@@ -34,6 +34,7 @@ __all__ = [
 
 _IK_DAMPING = 1e-2
 _IK_TOL = 1e-4
+_IK_RESTARTS = 8
 _IK_MAX_ITERS = 200
 
 
@@ -91,29 +92,6 @@ class SerialArm:
             and np.all(q <= self.position_limits[:, 1] + tol)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "joint_axes": [[float(v) for v in row] for row in self.joint_axes],
-            "link_offsets": [[float(v) for v in row] for row in self.link_offsets],
-            "torque_limits": [float(v) for v in self.torque_limits],
-            "position_limits": [[float(v) for v in row] for row in self.position_limits],
-            "ee_offset": [float(v) for v in self.ee_offset],
-            "base_frame": self.base_frame,
-            "name": self.name,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SerialArm":
-        return SerialArm(
-            np.array(d["joint_axes"]),
-            np.array(d["link_offsets"]),
-            np.array(d["torque_limits"]),
-            np.array(d["position_limits"]),
-            np.array(d["ee_offset"]),
-            d.get("base_frame", "arm_base"),
-            d.get("name", "arm"),
-        )
-
 
 def _chain_frames(arm: SerialArm, q: np.ndarray):
     """Joint origins and world axes in base coordinates, plus the EE pose."""
@@ -137,14 +115,19 @@ def fk(arm: SerialArm, q) -> Transform:
     return Transform(R, p_ee)
 
 
-def jacobian(arm: SerialArm, q) -> np.ndarray:
-    """Geometric Jacobian, linear rows stacked over angular rows (6 x n)."""
-    origins, axes, _, p_ee = _chain_frames(arm, q)
-    J = np.zeros((6, arm.dof))
-    for i in range(arm.dof):
+def _frames_jacobian(origins, axes, p_ee) -> np.ndarray:
+    """Geometric Jacobian from the joint frames ``_chain_frames`` returns."""
+    J = np.zeros((6, len(axes)))
+    for i in range(len(axes)):
         J[:3, i] = np.cross(axes[i], p_ee - origins[i])
         J[3:, i] = axes[i]
     return J
+
+
+def jacobian(arm: SerialArm, q) -> np.ndarray:
+    """Geometric Jacobian, linear rows stacked over angular rows (6 x n)."""
+    origins, axes, _, p_ee = _chain_frames(arm, q)
+    return _frames_jacobian(origins, axes, p_ee)
 
 
 def torque_stable(arm: SerialArm, q, w: Wrench) -> StabilityVerdict:
@@ -169,38 +152,30 @@ def _pose_error(target: Transform, R: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.concatenate([e_p, e_r])
 
 
-def ik(
-    arm: SerialArm,
-    target: Transform,
-    initial_q=None,
-    max_restarts: int = 8,
-    tol: float = _IK_TOL,
-):
+def ik(arm: SerialArm, target: Transform):
     """Damped least-squares inverse kinematics.
 
-    Deterministic: restarts draw from a fixed seed sequence.  Returns a
-    configuration within position limits whose pose error norm is below
-    ``tol``, or None when no restart converges.
+    Deterministic: the first start is the mid configuration and the other
+    restarts draw from a fixed seed sequence.  Returns a configuration
+    within position limits whose pose error norm is below ``_IK_TOL``, or
+    None when no restart converges.
     """
     rng = np.random.default_rng(20_000)
     lo = arm.position_limits[:, 0]
     hi = arm.position_limits[:, 1]
-    seeds = [arm.mid_config() if initial_q is None else np.asarray(initial_q, float)]
-    for _ in range(max_restarts - 1):
+    seeds = [arm.mid_config()]
+    for _ in range(_IK_RESTARTS - 1):
         seeds.append(np.clip(seeds[0] + rng.normal(scale=0.6, size=arm.dof), lo, hi))
     for seed in seeds:
         q = seed.copy()
         for _ in range(_IK_MAX_ITERS):
             origins, axes, R, p_ee = _chain_frames(arm, q)
             err = _pose_error(target, R, p_ee)
-            if np.linalg.norm(err) < tol:
+            if np.linalg.norm(err) < _IK_TOL:
                 if arm.within_limits(q):
                     return q
                 break
-            J = np.zeros((6, arm.dof))
-            for i in range(arm.dof):
-                J[:3, i] = np.cross(axes[i], p_ee - origins[i])
-                J[3:, i] = axes[i]
+            J = _frames_jacobian(origins, axes, p_ee)
             JJt = J @ J.T + (_IK_DAMPING**2) * np.eye(6)
             dq = J.T @ np.linalg.solve(JJt, err)
             step = np.linalg.norm(dq)
@@ -245,30 +220,17 @@ _DEFAULT_POSITION_LIMITS = [[-2.9, 2.9]] * 4 + [[-3.0, 3.0]] * 3
 _DEFAULT_EE_OFFSET = [0.0, 0.0, 0.08]
 
 
-def default_arm(name: str = "arm", base_frame: str = "arm_base", overrides: dict | None = None):
+def default_arm(name: str = "arm", base_frame: str = "arm_base"):
     """Seven-revolute arm with alternating z/y axes stacked along z.
 
-    Strong shoulder joints and weaker wrist joints; every field can be
-    overridden from a scenario file.
+    Strong shoulder joints and weaker wrist joints.
     """
-    spec = {
-        "joint_axes": _DEFAULT_AXES,
-        "link_offsets": _DEFAULT_OFFSETS,
-        "torque_limits": _DEFAULT_TORQUES,
-        "position_limits": _DEFAULT_POSITION_LIMITS,
-        "ee_offset": _DEFAULT_EE_OFFSET,
-    }
-    if overrides:
-        unknown = set(overrides) - set(spec)
-        if unknown:
-            raise ValueError(f"unknown arm override keys: {sorted(unknown)}")
-        spec.update(overrides)
     return SerialArm(
-        np.array(spec["joint_axes"], dtype=float),
-        np.array(spec["link_offsets"], dtype=float),
-        np.array(spec["torque_limits"], dtype=float),
-        np.array(spec["position_limits"], dtype=float),
-        np.array(spec["ee_offset"], dtype=float),
+        joint_axes=_DEFAULT_AXES,
+        link_offsets=_DEFAULT_OFFSETS,
+        torque_limits=_DEFAULT_TORQUES,
+        position_limits=_DEFAULT_POSITION_LIMITS,
+        ee_offset=_DEFAULT_EE_OFFSET,
         base_frame=base_frame,
         name=name,
     )

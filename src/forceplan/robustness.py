@@ -74,20 +74,6 @@ class PerturbationSpec:
         if self.samples < 1:
             raise ValueError("samples must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "mu_rel": self.mu_rel,
-            "wrench_rel": self.wrench_rel,
-            "frame_translation": self.frame_translation,
-            "frame_rotation": self.frame_rotation,
-            "patch_rel": self.patch_rel,
-            "samples": self.samples,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PerturbationSpec":
-        return PerturbationSpec(**d)
-
 
 def _noisy_transform(t: Transform, spec: PerturbationSpec, rng) -> Transform:
     # Draw even at zero scale so the stream layout never changes.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass, field, fields
 
 from .robustness import PerturbationSpec
@@ -118,6 +119,9 @@ def _checked_value(base, value, path: str):
     if isinstance(base, float):
         if not isinstance(value, (int, float)):
             raise ConfigError(f"'{path}' must be a number")
+        # Python's json reads NaN and Infinity; NaN fails both comparisons.
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"'{path}' must be a finite number")
         return value
     if isinstance(base, str):
         if not isinstance(value, str):

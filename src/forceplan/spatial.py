@@ -1,4 +1,4 @@
-"""Rigid transforms, wrenches, and the scene frame tree.
+"""Rigid transforms and wrenches.
 
 Conventions used throughout the package:
 
@@ -7,8 +7,8 @@ Conventions used throughout the package:
   3-vector translation.
 * A ``Wrench`` stacks force before torque, ``(f, tau)``, with the torque
   taken about the origin of the frame named by ``frame``.
-* Frames are plain string identifiers registered in a ``FrameTree``; the
-  transform between any two frames is found by composing along tree paths.
+* Frames are plain string identifiers.  A wrench is re-expressed in
+  another frame by ``transform_wrench`` under an explicit ``Transform``.
 
 Twists stack linear before angular velocity, ``(v, omega)``, with the
 linear velocity taken at the frame origin.  Under a change of frame the
@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "Transform",
     "Wrench",
-    "FrameTree",
     "compose",
     "invert",
     "transform_wrench",
@@ -35,9 +34,6 @@ __all__ = [
     "rot_y",
     "rot_z",
 ]
-
-_ORTHONORMAL_TOL = 1e-9
-
 
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(3)
@@ -94,10 +90,6 @@ class Transform:
             "translation": [float(v) for v in self.translation],
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Transform":
-        return Transform(np.array(d["rotation"]), np.array(d["translation"]))
-
 
 @dataclass(frozen=True, eq=False)
 class Wrench:
@@ -119,17 +111,6 @@ class Wrench:
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
-
-    def to_dict(self) -> dict:
-        return {
-            "force": [float(v) for v in self.force],
-            "torque": [float(v) for v in self.torque],
-            "frame": self.frame,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Wrench":
-        return Wrench(np.array(d["force"]), np.array(d["torque"]), d.get("frame", ""))
 
 
 def compose(a: Transform, b: Transform) -> Transform:
@@ -162,47 +143,3 @@ def transform_twist(linear, angular, t: Transform) -> tuple[np.ndarray, np.ndarr
     omega = t.rotation @ _as_vec3(angular)
     v = t.rotation @ _as_vec3(linear) + np.cross(t.translation, omega)
     return v, omega
-
-
-class FrameTree:
-    """Registry of named frames connected by parent-child transforms."""
-
-    def __init__(self, root: str = "world"):
-        self.root = root
-        # name -> (parent name, Transform mapping child coords into parent coords)
-        self._parents: dict[str, tuple[str | None, Transform]] = {
-            root: (None, Transform.identity())
-        }
-
-    def add_frame(self, name: str, parent: str, t_parent_child: Transform) -> None:
-        if name in self._parents:
-            raise ValueError(f"frame {name!r} already registered")
-        if parent not in self._parents:
-            raise KeyError(f"unknown parent frame {parent!r}")
-        self._parents[name] = (parent, t_parent_child)
-
-    def transform_to_root(self, name: str) -> Transform:
-        t = Transform.identity()
-        node = name
-        while True:
-            parent, rel = self._parents[node]
-            if parent is None:
-                return t
-            t = compose(rel, t)
-            node = parent
-
-    def get_transform(self, source: str, target: str) -> Transform:
-        """Transform mapping coordinates in ``source`` into ``target``."""
-        if source not in self._parents:
-            raise KeyError(f"unknown frame {source!r}")
-        if target not in self._parents:
-            raise KeyError(f"unknown frame {target!r}")
-        t_root_src = self.transform_to_root(source)
-        t_root_tgt = self.transform_to_root(target)
-        return compose(invert(t_root_tgt), t_root_src)
-
-    def express(self, w: Wrench, target: str) -> Wrench:
-        if not w.frame:
-            raise ValueError("wrench has no frame annotation")
-        t = self.get_transform(w.frame, target)
-        return transform_wrench(w, t, frame=target)

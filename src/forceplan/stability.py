@@ -38,13 +38,13 @@ the margins, which a verdict never needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .spatial import FrameTree, Transform, Wrench, transform_wrench
+from .spatial import Wrench, transform_wrench
 
 __all__ = [
     "CircularPatchJoint",
@@ -111,16 +111,6 @@ class CircularPatchJoint:
         # stale value.
         return _TWIST_RADIUS_FACTOR * self.radius_r
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "circular_patch",
-            "mu": float(self.mu),
-            "radius_r": float(self.radius_r),
-            "normal_force_N": float(self.normal_force_N),
-            "contact_frame": self.contact_frame,
-            "coupled_normal_force": float(self.coupled_normal_force),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class PolygonPatchJoint:
@@ -149,15 +139,6 @@ class PolygonPatchJoint:
         object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "corner_normal_forces", forces)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "polygon_patch",
-            "mu": float(self.mu),
-            "corners": [[float(v) for v in row] for row in self.corners],
-            "corner_normal_forces": [float(v) for v in self.corner_normal_forces],
-            "contact_frame": self.contact_frame,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ArmJoint:
@@ -175,13 +156,6 @@ class ArmJoint:
         q.flags.writeable = False
         object.__setattr__(self, "config_q", q)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "arm",
-            "arm": self.arm.to_dict(),
-            "config_q": [float(v) for v in self.config_q],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class RigidJoint:
@@ -189,37 +163,8 @@ class RigidJoint:
 
     contact_frame: str = ""
 
-    def to_dict(self) -> dict:
-        return {"type": "rigid", "contact_frame": self.contact_frame}
-
 
 JointModel = Union[CircularPatchJoint, PolygonPatchJoint, ArmJoint, RigidJoint]
-
-
-def joint_from_dict(d: dict) -> JointModel:
-    kind = d["type"]
-    if kind == "circular_patch":
-        return CircularPatchJoint(
-            d["mu"],
-            d["radius_r"],
-            d["normal_force_N"],
-            d.get("contact_frame", ""),
-            d.get("coupled_normal_force", 0.0),
-        )
-    if kind == "polygon_patch":
-        return PolygonPatchJoint(
-            d["mu"],
-            np.array(d["corners"]),
-            np.array(d["corner_normal_forces"]),
-            d.get("contact_frame", ""),
-        )
-    if kind == "arm":
-        from .robot import SerialArm
-
-        return ArmJoint(SerialArm.from_dict(d["arm"]), np.array(d["config_q"]))
-    if kind == "rigid":
-        return RigidJoint(d.get("contact_frame", ""))
-    raise ValueError(f"unknown joint type {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,28 +190,6 @@ class ForcefulKinematicChain:
             if len(gw) != len(joints):
                 raise ValueError("need one gravity wrench slot per joint")
             object.__setattr__(self, "gravity_wrenches", gw)
-
-    def to_dict(self) -> dict:
-        return {
-            "application_frame": self.application_frame,
-            "joints": [
-                {"joint": j.to_dict(), "transform": t.to_dict()} for j, t in self.joints
-            ],
-            "gravity_wrenches": None
-            if self.gravity_wrenches is None
-            else [None if w is None else w.to_dict() for w in self.gravity_wrenches],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ForcefulKinematicChain":
-        joints = tuple(
-            (joint_from_dict(e["joint"]), Transform.from_dict(e["transform"]))
-            for e in d["joints"]
-        )
-        gw = d.get("gravity_wrenches")
-        if gw is not None:
-            gw = tuple(None if w is None else Wrench.from_dict(w) for w in gw)
-        return ForcefulKinematicChain(d["application_frame"], joints, gw)
 
 
 def limit_surface_stable(w_planar, joint: CircularPatchJoint) -> StabilityVerdict:
@@ -510,23 +433,19 @@ def joint_stable(joint: JointModel, w: Wrench) -> StabilityVerdict:
     raise TypeError(f"unknown joint model {type(joint).__name__}")
 
 
-def chain_stable(
-    chain: ForcefulKinematicChain, w: Wrench, tree: FrameTree | None = None
-) -> StabilityVerdict:
+def chain_stable(chain: ForcefulKinematicChain, w: Wrench) -> StabilityVerdict:
     """Transmit ``w`` through every joint of the chain and combine verdicts.
 
-    The wrench may be expressed in any frame the scene tree can resolve to
-    the chain's application frame; the verdict does not depend on that
-    choice.  Margin is the minimum over joints, and ``failing_joint`` is
-    the index of the first unstable joint.
+    The wrench must be expressed in the chain's application frame; a wrench
+    that names another frame raises ``ValueError``.  An unnamed frame is
+    taken to be the application frame.  Margin is the minimum over joints,
+    and ``failing_joint`` is the index of the first unstable joint.
     """
     if w.frame and w.frame != chain.application_frame:
-        if tree is None:
-            raise ValueError(
-                f"wrench in frame {w.frame!r} but chain applies at "
-                f"{chain.application_frame!r} and no tree was given"
-            )
-        w = tree.express(w, chain.application_frame)
+        raise ValueError(
+            f"wrench in frame {w.frame!r} but chain applies at "
+            f"{chain.application_frame!r}"
+        )
     if not chain.joints:
         return StabilityVerdict(True, 1.0)
     margin = np.inf

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from forceplan.domains import bottle
-from forceplan.domains.scene import GraspSpec, grasp_target, plan_summary
+from forceplan.domains.scene import grasp_target, plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
 from forceplan.stability import GRAVITY, CircularPatchJoint, RigidJoint, chain_stable
@@ -38,7 +37,7 @@ def spin_margin(normal, mu, radius, torque=0.2):
 class TestTwistChains:
     def test_wrap_grip_margin_matches_patch_formula(self):
         world = make_world(grip_force=15.0)
-        q = world.scene.reach("arm0", world.twist_hand_target(world.bottle_pose))
+        q = world.reach("arm0", world.twist_hand_target(world.bottle_pose))
         assert q is not None
         chain, w = world.twist_chain("wrap-grip", 0.0, "arm0", q)
         verdict = chain_stable(chain, w)
@@ -48,7 +47,7 @@ class TestTwistChains:
 
     def test_wrap_grip_slippery_cap_fails_at_the_cap(self):
         world = make_world(grip_force=15.0, friction={"hand-cap": 0.3})
-        q = world.scene.reach("arm0", world.twist_hand_target(world.bottle_pose))
+        q = world.reach("arm0", world.twist_hand_target(world.bottle_pose))
         chain, w = world.twist_chain("wrap-grip", 0.0, "arm0", q)
         verdict = chain_stable(chain, w)
         assert not verdict.stable
@@ -57,7 +56,7 @@ class TestTwistChains:
 
     def test_press_strategies_couple_normal_force_to_push(self):
         world = make_world()
-        q = world.scene.reach("arm0", world.twist_hand_target(world.bottle_pose))
+        q = world.reach("arm0", world.twist_hand_target(world.bottle_pose))
         for strategy, radius in (("palm-press", 0.025), ("fingertip-press", 0.0125)):
             chain, _ = world.twist_chain(strategy, 30.0, "arm0", q)
             patch = chain.joints[0][0]
@@ -71,14 +70,14 @@ class TestTwistChains:
 
     def test_fingertips_too_slippery_at_every_press_level(self):
         world = make_world()
-        q = world.scene.reach("arm0", world.twist_hand_target(world.bottle_pose))
+        q = world.reach("arm0", world.twist_hand_target(world.bottle_pose))
         for extra in bottle.OPERATION_DEFAULTS["extra_force_levels"]:
             chain, w = world.twist_chain("fingertip-press", extra, "arm0", q)
             assert not chain_stable(chain, w).stable
 
     def test_tool_chain_has_tip_pads_and_arm(self):
         world = make_world()
-        q = world.scene.reach("arm0", world.tool_twist_target(world.bottle_pose))
+        q = world.reach("arm0", world.tool_twist_target(world.bottle_pose))
         chain, w = world.twist_chain("twist-tool", 15.0, "arm0", q)
         assert len(chain.joints) == 3
         tip = chain.joints[0][0]
@@ -128,7 +127,7 @@ class TestCarryChain:
     def test_bottle_carry_is_comfortably_stable(self):
         world = make_world()
         grasp = world.object_grasp("bottle")
-        q = world.scene.reach(
+        q = world.reach(
             "arm0", grasp_target(world.bottle_pose, grasp)
         )
         chain, w = world.grasp_hold_chain("bottle", "arm0", q)
@@ -139,7 +138,7 @@ class TestCarryChain:
     def test_weak_grip_drops_the_bottle(self):
         world = make_world(grip_force=1.5)
         grasp = world.object_grasp("bottle")
-        q = world.scene.reach(
+        q = world.reach(
             "arm0", grasp_target(world.bottle_pose, grasp)
         )
         chain, w = world.grasp_hold_chain("bottle", "arm0", q)
@@ -201,12 +200,3 @@ class TestPlanning:
         assert not result.solved
         assert plan_summary(result, names)["steps"] == 0
 
-
-class TestGraspSpec:
-    def test_round_trip(self):
-        world = make_world()
-        g = world.object_grasp("tool")
-        g2 = GraspSpec.from_dict(g.to_dict())
-        assert g2.label == g.label
-        np.testing.assert_allclose(g2.offset.rotation, g.offset.rotation)
-        np.testing.assert_allclose(g2.offset.translation, g.offset.translation)

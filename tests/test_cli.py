@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,6 +27,11 @@ class TestSolve:
         assert main(["solve", scenario, "--out", str(out1)]) == 0
         assert main(["solve", scenario, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # Plan files are user-visible output: a change to these bytes is a
+        # change of behaviour, not a refactoring.
+        assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
+            "06413184ed9aec99a92deee9b2fa9ee8cb7cb48877a630124274b9af07fca7b0"
+        )
         payload = json.loads(out1.read_text())
         assert payload["domain"] == "nut-fastening"
         assert payload["strategy"] == "spanner-twist"
@@ -74,6 +80,14 @@ class TestSolve:
         assert f"'{reported}'" in err
         assert "Traceback" not in err
 
+    def test_non_finite_value_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"domain": "nut-fastening", "perturbation": {"mu_rel": NaN}}')
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "'perturbation.mu_rel' must be a finite number" in err
+        assert "Traceback" not in err
+
     def test_bad_stage_value_exits_1_before_any_solve(self, tmp_path, capsys):
         bad = tmp_path / "bad_stage.json"
         bad.write_text(
@@ -85,6 +99,26 @@ class TestSolve:
         assert "scene.weight_spots[0]" in captured.err
         assert "Traceback" not in captured.err
         assert "two-arms" not in captured.out
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, reported",
+        [
+            (["solve", "nut_stiff.json", "--seed", "-1"], "--seed"),
+            (["ablate", "nut_stiff.json", "--seed", "-1"], "--seed"),
+            (["robustness", "nut_default.json", "--seed", "-1"], "--seed"),
+            (["robustness", "nut_default.json", "--samples", "0"], "--samples"),
+            (["robustness", "nut_default.json", "--samples", "-5"], "--samples"),
+            (["robustness", "nut_default.json", "--sweep", "nan:1:2"], "--sweep"),
+        ],
+    )
+    def test_bad_arguments_exit_1(self, capsys, argv, reported):
+        argv = [argv[0], str(SCENARIOS / argv[1]), *argv[2:]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert reported in err
+        assert "Traceback" not in err
 
 
 class TestAblate:

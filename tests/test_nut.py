@@ -34,7 +34,7 @@ def make_world(op=None, **over):
 class TestTwistChains:
     def test_finger_margin_matches_patch_formula(self):
         world = make_world()
-        q = world.scene.reach("arm0", world.nut_twist_target())
+        q = world.reach("arm0", world.nut_twist_target())
         assert q is not None
         chain, w = world.twist_chain("finger-twist", "arm0", q)
         verdict = chain_stable(chain, w)
@@ -46,14 +46,14 @@ class TestTwistChains:
 
     def test_fingers_cannot_drive_a_stiff_nut(self):
         world = make_world(op={"torque": 0.9})
-        q = world.scene.reach("arm0", world.nut_twist_target())
+        q = world.reach("arm0", world.nut_twist_target())
         chain, w = world.twist_chain("finger-twist", "arm0", q)
         assert not chain_stable(chain, w).stable
         assert math.isinf(chain_cost(chain, w, PerturbationSpec(), seed=0))
 
     def test_spanner_is_form_closed_and_survives_stiff_torque(self):
         world = make_world(op={"torque": 0.9})
-        q = world.scene.reach("arm0", world.spanner_twist_target())
+        q = world.reach("arm0", world.spanner_twist_target())
         chain, w = world.twist_chain("spanner-twist", "arm0", q)
         assert len(chain.joints) == 3
         assert isinstance(chain.joints[0][0], RigidJoint)
@@ -94,7 +94,7 @@ class TestCarrying:
         margins = {}
         for wname in ("w1", "w2", "w3"):
             grasp = world.object_grasp(wname)
-            q = world.scene.reach(
+            q = world.reach(
                 "arm0", grasp_target(world.object_pose(wname), grasp)
             )
             assert q is not None, wname

@@ -182,10 +182,6 @@ class TestCost:
 
 
 class TestSpec:
-    def test_round_trip(self):
-        spec = PerturbationSpec(samples=42, mu_rel=0.2)
-        assert PerturbationSpec.from_dict(spec.to_dict()) == spec
-
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             PerturbationSpec(mu_rel=-0.1)

@@ -156,6 +156,17 @@ class TestValues:
             ("nut-fastening", "scene.weight_xy.w2", [-0.1], "scene.weight_xy.w2"),
             ("bottle-cap", "scene.arms", ["arm0", "arm0"], "scene.arms"),
             ("nut-fastening", "scene.arms", ["arm1", "arm0", "arm1"], "scene.arms"),
+            ("nut-fastening", "perturbation.mu_rel", float("nan"), "perturbation.mu_rel"),
+            (
+                "nut-fastening", "perturbation.frame_translation", float("inf"),
+                "perturbation.frame_translation",
+            ),
+            ("bottle-cap", "operation.torque", float("-inf"), "operation.torque"),
+            ("bottle-cap", "scene.bottle_xy", [0.0, float("nan")], "scene.bottle_xy[1]"),
+            (
+                "bottle-cap", "operation.extra_force_levels", [0.0, float("inf")],
+                "operation.extra_force_levels[1]",
+            ),
         ],
     )
     def test_bad_values_name_the_dotted_path(self, domain, dotted, value, reported):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forceplan.spatial import (
-    FrameTree,
     Transform,
     Wrench,
     compose,
@@ -137,47 +136,3 @@ class TestWrench:
         power_tgt = wt.force @ lin + wt.torque @ ang
         assert abs(power_src - power_tgt) < 1e-9 * max(1.0, abs(power_src))
 
-
-class TestFrameTree:
-    def build_tree(self):
-        tree = FrameTree("world")
-        tree.add_frame("table", "world", Transform(np.eye(3), np.array([0.0, 0.0, 0.72])))
-        tree.add_frame(
-            "jar", "table", Transform(rot_z(np.pi / 2), np.array([0.2, 0.1, 0.0]))
-        )
-        tree.add_frame("cap_top", "jar", Transform(np.eye(3), np.array([0.0, 0.0, 0.15])))
-        tree.add_frame("arm_base", "world", Transform(np.eye(3), np.array([-0.4, 0.0, 0.72])))
-        return tree
-
-    def test_lookup_composes_paths(self):
-        tree = self.build_tree()
-        t = tree.get_transform("cap_top", "world")
-        np.testing.assert_allclose(t.apply_point([0, 0, 0]), [0.2, 0.1, 0.87], atol=1e-12)
-        t2 = tree.get_transform("cap_top", "arm_base")
-        np.testing.assert_allclose(t2.apply_point([0, 0, 0]), [0.6, 0.1, 0.15], atol=1e-12)
-
-    def test_lookup_is_consistent_both_ways(self):
-        tree = self.build_tree()
-        ab = tree.get_transform("cap_top", "arm_base")
-        ba = tree.get_transform("arm_base", "cap_top")
-        rt = compose(ab, ba)
-        np.testing.assert_allclose(rt.rotation, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(rt.translation, np.zeros(3), atol=1e-12)
-
-    def test_express_wrench(self):
-        tree = self.build_tree()
-        w = Wrench(np.array([1.0, 0.0, 0.0]), np.zeros(3), frame="jar")
-        out = tree.express(w, "table")
-        # The jar frame is yawed 90 degrees: its x axis is the table's y axis.
-        np.testing.assert_allclose(out.force, [0.0, 1.0, 0.0], atol=1e-12)
-        assert out.frame == "table"
-
-    def test_unknown_frame_raises(self):
-        tree = self.build_tree()
-        with pytest.raises(KeyError):
-            tree.get_transform("jar", "nope")
-
-    def test_duplicate_frame_raises(self):
-        tree = self.build_tree()
-        with pytest.raises(ValueError):
-            tree.add_frame("jar", "world", Transform.identity())
