@@ -5,8 +5,9 @@ stage and can write the plan as JSON, ``ablate`` runs every stage and
 tabulates how plans change, ``robustness`` sweeps a load parameter and
 reports chain failure probabilities as CSV.
 
-Exit codes: 0 on success, 1 for a bad scenario file or arguments,
-2 when planning finds no plan (no plan file is written).
+Exit codes: 0 on success, 1 for a bad scenario file or arguments or when
+the reader of stdout has gone, 2 when planning finds no plan (no plan
+file is written).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -141,7 +143,10 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep bounds must be finite, got '{text}'")
     if count < 1:
         raise ConfigError("--sweep needs at least one point")
-    return np.linspace(lo, hi, count)
+    grid = np.linspace(lo, hi, count)
+    if np.any(grid < 0):
+        raise ConfigError(f"--sweep values must be nonnegative, got '{text}'")
+    return grid
 
 
 def _bottle_rows(world, resolved, spec):
@@ -267,7 +272,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so that
+        # the flush at interpreter exit finds nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ import numpy as np
 from ..planner import ActionSchema, Problem, Stream, ValueRegistry
 from ..robustness import PerturbationSpec, chain_cost
 from ..spatial import Transform, Wrench, rot_z
-from ..stability import GRAVITY, ForcefulKinematicChain, RigidJoint
+from ..stability import GRAVITY, CircularPatchJoint, ForcefulKinematicChain, RigidJoint
 from .scene import (
     World,
     common_schemas,
@@ -30,7 +30,6 @@ from .scene import (
     pad_grasp_joint,
     pinch_grasp,
     reach_stream,
-    support_patch_joint,
     tool_down_rotation,
     twist_cost_fn,
     twist_schemas,
@@ -203,8 +202,8 @@ class BottleWorld(World):
             normal, coupled = cfg["grip_force"], 0.0
         else:
             normal, coupled = push, push
-        patch = support_patch_joint(
-            self.mu(pair), cfg[radius], normal, coupled=coupled, contact_frame="cap"
+        patch = CircularPatchJoint(
+            self.mu(pair), cfg[radius], normal, "cap", coupled_normal_force=coupled
         )
         joints = [(patch, Transform.identity())]
         gravity = [None]
@@ -229,12 +228,12 @@ class BottleWorld(World):
         cfg = self.cfg
         if route in ("table-friction", "mat-friction"):
             surface = "table" if route == "table-friction" else "mat"
-            patch = support_patch_joint(
+            patch = CircularPatchJoint(
                 self.mu(f"bottle-{surface}"),
                 cfg["base_radius"],
                 cfg["bottle_mass"] * GRAVITY + extra,
-                coupled=extra,
-                contact_frame=f"bottle_{surface}",
+                f"bottle_{surface}",
+                coupled_normal_force=extra,
             )
             t = Transform(np.eye(3), np.array([0.0, 0.0, cfg["cap_top_height"]]))
             chain = ForcefulKinematicChain("cap", ((patch, t),))

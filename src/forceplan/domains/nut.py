@@ -15,7 +15,13 @@ import numpy as np
 from ..planner import ActionSchema, Problem, ValueRegistry
 from ..robustness import PerturbationSpec, chain_cost
 from ..spatial import Transform, Wrench
-from ..stability import GRAVITY, ForcefulKinematicChain, PolygonPatchJoint, RigidJoint
+from ..stability import (
+    GRAVITY,
+    CircularPatchJoint,
+    ForcefulKinematicChain,
+    PolygonPatchJoint,
+    RigidJoint,
+)
 from .scene import (
     World,
     beam_corner_forces,
@@ -26,7 +32,6 @@ from .scene import (
     pad_grasp_joint,
     pinch_grasp,
     reach_stream,
-    support_patch_joint,
     tool_down_rotation,
     twist_cost_fn,
     twist_schemas,
@@ -160,9 +165,8 @@ class NutWorld(World):
         joints = []
         gravity = []
         if strategy == "finger-twist":
-            patch = support_patch_joint(
-                self.mu("hand-nut"), cfg["nut_radius"], cfg["grip_force"],
-                contact_frame="nut",
+            patch = CircularPatchJoint(
+                self.mu("hand-nut"), cfg["nut_radius"], cfg["grip_force"], "nut"
             )
             joints.append((patch, Transform.identity()))
             gravity.append(None)

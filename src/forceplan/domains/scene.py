@@ -33,7 +33,6 @@ from ..spatial import Transform, Wrench, rot_y
 from ..stability import (
     GRAVITY,
     ArmJoint,
-    CircularPatchJoint,
     ForcefulKinematicChain,
     PolygonPatchJoint,
     beam_support_forces,
@@ -45,7 +44,6 @@ __all__ = [
     "tool_down_rotation",
     "pad_frame",
     "pad_grasp_joint",
-    "support_patch_joint",
     "beam_corner_forces",
     "pinch_grasp",
     "grasp_target",
@@ -103,16 +101,6 @@ def pad_grasp_joint(mu, half_extents, squeeze_force, contact_frame=""):
     )
     preload = Wrench([0.0, 0.0, -2.0 * float(squeeze_force)], [0.0, 0.0, 0.0])
     return joint, preload
-
-
-def support_patch_joint(mu, radius, normal_force, coupled=0.0, contact_frame=""):
-    return CircularPatchJoint(
-        mu=mu,
-        radius_r=radius,
-        normal_force_N=normal_force,
-        coupled_normal_force=coupled,
-        contact_frame=contact_frame,
-    )
 
 
 def beam_corner_forces(length, width, slat_mass, load_mass, load_center):
@@ -187,7 +175,7 @@ class World:
         self.arm_bases = {}
         for name in cfg["arms"]:
             x, y = cfg["arm_bases"][name]
-            self.arms[name] = default_arm(name=name, base_frame=f"{name}_base")
+            self.arms[name] = default_arm()
             self.arm_bases[name] = Transform(np.eye(3), np.array([x, y, 0.0]))
 
     def mu(self, pair: str) -> float:

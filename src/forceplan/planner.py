@@ -83,12 +83,6 @@ class ValueRegistry:
         self._items.append(v)
         return v
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
-
 
 def _is_var(term) -> bool:
     return isinstance(term, str) and term.startswith("?")

@@ -51,8 +51,6 @@ class SerialArm:
     torque_limits: np.ndarray
     position_limits: np.ndarray
     ee_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    base_frame: str = "arm_base"
-    name: str = "arm"
 
     def __post_init__(self):
         axes = np.asarray(self.joint_axes, dtype=float).reshape(-1, 3).copy()
@@ -193,7 +191,6 @@ def planar_two_link_arm(l1: float = 1.0, l2: float = 1.0, torque_limits=(30.0, 3
         torque_limits=list(torque_limits),
         position_limits=[[-np.pi, np.pi], [-np.pi, np.pi]],
         ee_offset=[l2, 0.0, 0.0],
-        name="planar2",
     )
 
 
@@ -220,7 +217,7 @@ _DEFAULT_POSITION_LIMITS = [[-2.9, 2.9]] * 4 + [[-3.0, 3.0]] * 3
 _DEFAULT_EE_OFFSET = [0.0, 0.0, 0.08]
 
 
-def default_arm(name: str = "arm", base_frame: str = "arm_base"):
+def default_arm():
     """Seven-revolute arm with alternating z/y axes stacked along z.
 
     Strong shoulder joints and weaker wrist joints.
@@ -231,6 +228,4 @@ def default_arm(name: str = "arm", base_frame: str = "arm_base"):
         torque_limits=_DEFAULT_TORQUES,
         position_limits=_DEFAULT_POSITION_LIMITS,
         ee_offset=_DEFAULT_EE_OFFSET,
-        base_frame=base_frame,
-        name=name,
     )

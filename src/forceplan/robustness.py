@@ -19,10 +19,14 @@ that chain is the sample's verdict: together they are the scalar oracle.
 once.  Each sample draws one ``standard_normal`` vector of length
 6 + 8 * (patch joints) and scales its frame slices, which yields exactly
 the numbers of the documented draw order.  The joints are checked with
-array operations on the (samples, 6) wrenches they transmit, an arm's
-Jacobian is computed once, and a polygon patch only asks for the cone
-verdict.  It raises the errors the scalar oracle raises, first sample
-first.
+array operations on the (samples, 6) wrenches they transmit, in one pass
+per joint; an arm's Jacobian is computed once, and a polygon patch only
+asks for the cone verdict.  A sample whose numbers the array arithmetic
+cannot vouch for is suspect: its wrench or a transmitted wrench is not
+finite, a moved frame is one ``Transform`` would reject, a polygon corner
+leaves the z = 0 plane, or (for every sample) the wrench names a foreign
+frame or the chain holds an unknown joint type.  The scalar oracle gives
+each suspect sample its verdict, or raises its error, first sample first.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .stability import (
     RigidJoint,
     chain_stable,
     circular_patch_verdicts,
-    joint_stable,
     polygon_patch_verdicts,
 )
 
@@ -142,104 +145,72 @@ def _draws(samples: range, width: int, seed: int) -> np.ndarray:
     return z
 
 
-def _noisy_frames(t: Transform, dp, rv, checks):
+def _noisy_frames(t: Transform, dp, rv):
     """Per-sample rotations and translations of ``_noisy_transform``.
 
-    Moved frames that ``Transform`` would reject are added to ``checks``.
+    Also returns the samples whose moved frame ``Transform`` would reject.
     """
     moved = np.any(dp, axis=1) | np.any(rv, axis=1)
-    noise = Rotation.from_rotvec(rv).as_matrix()
-    rot = np.matmul(t.rotation, noise)
+    rot = np.matmul(t.rotation, Rotation.from_rotvec(rv).as_matrix())
     pos = np.matmul(t.rotation, dp[:, :, None])[:, :, 0] + t.translation
     with np.errstate(invalid="ignore"):
         gram = np.matmul(rot.transpose(0, 2, 1), rot)
         bad = ~(np.isfinite(rot).all(axis=(1, 2)) & np.isfinite(pos).all(axis=1))
         bad |= np.max(np.abs(gram - np.eye(3)), axis=(1, 2)) > 1e-8
         bad |= np.abs(np.linalg.det(rot) - 1.0) > 1e-8
-    checks.append((moved & bad, lambda s: compose(t, Transform(noise[s], dp[s]))))
     rot[~moved] = t.rotation
     pos[~moved] = t.translation
-    return rot, pos
-
-
-def _wrench_check(force, torque):
-    """Samples whose wrench ``Wrench`` would reject, and how it rejects one."""
-    finite = np.isfinite(force).all(axis=1) & np.isfinite(torque).all(axis=1)
-    return ~finite, lambda s: Wrench(force[s], torque[s])
-
-
-def _raise_first(checks):
-    """Raise what the scalar oracle raises: its first sample, first check.
-
-    ``checks`` pairs a mask of suspect samples with a callable that
-    re-runs the scalar step for one sample and raises its error.
-    """
-    suspect = np.array([mask for mask, _ in checks])
-    for s in np.flatnonzero(suspect.any(axis=0)):
-        for c in np.flatnonzero(suspect[:, s]):
-            checks[c][1](s)
+    return rot, pos, moved & bad
 
 
 _PATCHES = (CircularPatchJoint, PolygonPatchJoint)
 
 
-def _perturbed_joints(chain, spec, z, fz_fac, checks):
-    """Per joint: (joint, rotations, translations, perturbed parameters).
+def _loaded_joints(chain, spec, z, fz_fac, wrench, suspect):
+    """Per joint: (joint, perturbed parameters, (samples, 6) transmitted wrench).
 
-    Column layout of ``z`` after the six wrench columns: per patch joint,
-    the two parameter draws and then the six frame draws, as in
-    ``perturbed_case``.  Arm and rigid joints keep their nominal frame.
+    The wrench is the one ``chain_stable`` hands the joint, gravity or
+    preload included.  Column layout of ``z`` after the six wrench
+    columns: per patch joint, the two parameter draws and then the six
+    frame draws, as in ``perturbed_case``.  Arm and rigid joints keep
+    their nominal frame.  Samples that the scalar oracle may reject, or
+    whose verdict the array arithmetic cannot vouch for, are marked in
+    ``suspect``.
     """
-    joints = []
+    gravity = chain.gravity_wrenches or (None,) * len(chain.joints)
     col = 6
-    for joint, t in chain.joints:
-        if not isinstance(joint, _PATCHES):
-            joints.append((joint, t.rotation, t.translation, None))
-            continue
-        z_mu, z_p = z[:, col], z[:, col + 1]
-        dp = 0.0 + spec.frame_translation * z[:, col + 2 : col + 5]
-        rv = 0.0 + spec.frame_rotation * z[:, col + 5 : col + 8]
-        col += 8
-        rot, pos = _noisy_frames(t, dp, rv, checks)
-        mu = np.maximum(joint.mu * (1.0 + spec.mu_rel * z_mu), 0.0)
-        if isinstance(joint, CircularPatchJoint):
-            radius = np.maximum(joint.radius_r * (1.0 + spec.patch_rel * z_p), 1e-9)
-            fixed = joint.normal_force_N - joint.coupled_normal_force
-            normal = np.maximum(fixed + joint.coupled_normal_force * fz_fac, 0.0)
-            joints.append((joint, rot, pos, (mu, radius, normal)))
-            continue
-        scale = np.maximum(1.0 + spec.patch_rel * z_p, 0.0)
-        centroid = joint.corners.mean(axis=0)
-        corners = centroid + (joint.corners - centroid) * scale[:, None, None]
-        forces = joint.corner_normal_forces
-        checks.append(
-            (
-                np.max(np.abs(corners[:, :, 2]), axis=1) > 1e-9,
-                lambda s, mu=mu, corners=corners, forces=forces: PolygonPatchJoint(
-                    mu[s], corners[s], forces
-                ),
-            )
-        )
-        joints.append((joint, rot, pos, (mu, corners)))
-    return joints
-
-
-def _transmitted(chain, joints, wrench, checks):
-    """(samples, 6) wrench at each joint's test frame, as ``chain_stable``."""
-    gravity = chain.gravity_wrenches or (None,) * len(joints)
-    out = []
-    for (joint, rot, pos, _), extra in zip(joints, gravity):
+    for (joint, t), extra in zip(chain.joints, gravity):
+        rot, pos, params = t.rotation, t.translation, None
+        if isinstance(joint, _PATCHES):
+            z_mu, z_p = z[:, col], z[:, col + 1]
+            dp = 0.0 + spec.frame_translation * z[:, col + 2 : col + 5]
+            rv = 0.0 + spec.frame_rotation * z[:, col + 5 : col + 8]
+            col += 8
+            rot, pos, bad = _noisy_frames(t, dp, rv)
+            suspect |= bad
+            mu = np.maximum(joint.mu * (1.0 + spec.mu_rel * z_mu), 0.0)
+            if isinstance(joint, CircularPatchJoint):
+                radius = np.maximum(joint.radius_r * (1.0 + spec.patch_rel * z_p), 1e-9)
+                fixed = joint.normal_force_N - joint.coupled_normal_force
+                normal = np.maximum(fixed + joint.coupled_normal_force * fz_fac, 0.0)
+                params = (mu, radius, normal)
+            else:
+                scale = np.maximum(1.0 + spec.patch_rel * z_p, 0.0)
+                centroid = joint.corners.mean(axis=0)
+                corners = centroid + (joint.corners - centroid) * scale[:, None, None]
+                suspect |= np.max(np.abs(corners[:, :, 2]), axis=1) > 1e-9
+                params = (mu, corners)
+        elif not isinstance(joint, (ArmJoint, RigidJoint)):
+            suspect[:] = True
         f = np.matmul(rot, wrench[:, :3, None])[:, :, 0]
         tau = np.matmul(rot, wrench[:, 3:, None])[:, :, 0] + np.cross(pos, f)
-        checks.append(_wrench_check(f, tau))
         if extra is not None:
+            # Gravity wrenches are finite: a non-finite sum had a
+            # non-finite term.
             f, tau = f + extra.force, tau + extra.torque
-            checks.append(_wrench_check(f, tau))
-        if not isinstance(joint, (*_PATCHES, ArmJoint, RigidJoint)):
-            every = np.ones(len(wrench), dtype=bool)
-            checks.append((every, lambda s, joint=joint: joint_stable(joint, None)))
-        out.append(np.concatenate([f, tau], axis=1))
-    return out
+        loaded = np.concatenate([f, tau], axis=1)
+        suspect |= ~np.isfinite(loaded).all(axis=1)
+        yield joint, params, loaded
 
 
 # Samples per vectorised pass, so that the arrays of one pass stay a few
@@ -274,24 +245,17 @@ def success_probability(
 
 def _stable_count(chain, w, spec, seed, samples, jacobians) -> int:
     """How many of ``samples`` keep the chain stable, in one vectorised pass."""
-    n = len(samples)
     patches = sum(isinstance(joint, _PATCHES) for joint, _ in chain.joints)
     z = _draws(samples, 6 + 8 * patches, seed)
     fac = 1.0 + spec.wrench_rel * z[:, :6]
     wrench = w.as_array() * fac
-    # Each check pairs the samples the scalar oracle may reject with a
-    # call that rejects one of them; the list keeps the oracle's order.
-    checks = [_wrench_check(wrench[:, :3], wrench[:, 3:])]
-    joints = _perturbed_joints(chain, spec, z, fac[:, 2], checks)
+    suspect = ~np.isfinite(wrench).all(axis=1)
     if w.frame and w.frame != chain.application_frame:
-        # chain_stable raises the frame error before it looks at a joint.
-        checks.append((np.ones(n, dtype=bool), lambda s: chain_stable(chain, w)))
-    transmitted = _transmitted(chain, joints, wrench, checks)
-    _raise_first(checks)
-
-    ok = np.ones(n, dtype=bool)
+        suspect[:] = True
+    ok = np.ones(len(samples), dtype=bool)
     polygons = []
-    for (joint, _, _, params), wj, jac in zip(joints, transmitted, jacobians):
+    loaded = _loaded_joints(chain, spec, z, fac[:, 2], wrench, suspect)
+    for (joint, params, wj), jac in zip(loaded, jacobians):
         if isinstance(joint, CircularPatchJoint):
             ok &= circular_patch_verdicts(*params, wj[:, :3], wj[:, 5])
         elif isinstance(joint, ArmJoint):
@@ -299,10 +263,15 @@ def _stable_count(chain, w, spec, seed, samples, jacobians) -> int:
             ok &= np.max(np.abs(tau) / joint.arm.torque_limits, axis=1) < 1.0
         elif isinstance(joint, PolygonPatchJoint):
             polygons.append((joint, params, wj))
+    # The scalar oracle gives a suspect sample its verdict, or raises its
+    # error, first sample first.
+    for s in np.flatnonzero(suspect):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, samples[s])))
+        ok[s] = chain_stable(*perturbed_case(chain, w, spec, rng)).stable
     # A cone test costs one NNLS per sample, so it only runs on the samples
     # every other joint holds.
     for joint, (mu, corners), wj in polygons:
-        alive = np.flatnonzero(ok)
+        alive = np.flatnonzero(ok & ~suspect)
         ok[alive] = polygon_patch_verdicts(
             mu[alive], corners[alive], joint.corner_normal_forces, wj[alive]
         )

@@ -5,13 +5,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from forceplan.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def read_csv(path):
@@ -111,6 +115,8 @@ class TestArguments:
             (["robustness", "nut_default.json", "--samples", "0"], "--samples"),
             (["robustness", "nut_default.json", "--samples", "-5"], "--samples"),
             (["robustness", "nut_default.json", "--sweep", "nan:1:2"], "--sweep"),
+            (["robustness", "nut_default.json", "--sweep=-1:1:3"], "--sweep"),
+            (["robustness", "bottle_default.json", "--sweep=-100:0:3"], "--sweep"),
         ],
     )
     def test_bad_arguments_exit_1(self, capsys, argv, reported):
@@ -119,6 +125,31 @@ class TestArguments:
         err = capsys.readouterr().err
         assert reported in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_pipe_exits_1_quietly(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "forceplan.cli", "robustness",
+                    str(SCENARIOS / "nut_default.json"),
+                    "--samples", "1", "--sweep", "0:1:2",
+                ],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""
 
 
 class TestAblate:
@@ -175,6 +206,20 @@ class TestRobustness:
         assert all(b >= a for a, b in zip(carry, carry[1:]))
         assert hold[0] > 0.5 and hold[-1] == 0.0
         assert carry[0] == 0.0 and carry[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            ("bottle_default.json", "03316bbdb55800ed92e05cfee763c937d8139babc0d41fcc0568f6eaddc81312"),
+            ("nut_default.json", "594fa155906ba7ee70fcefd5fd78c7a5d2a3fcd62d69ec65a4f82db01ebf1be7"),
+        ],
+    )
+    def test_curves_file_is_pinned(self, tmp_path, capsys, scenario, digest):
+        # At the default 1,000 samples every estimate is user-visible output:
+        # a change to these bytes is a change of behaviour.
+        out = tmp_path / "rob.csv"
+        assert main(["robustness", str(SCENARIOS / scenario), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_bad_sweep_spec_exits_1(self, capsys):
         scenario = str(SCENARIOS / "nut_default.json")

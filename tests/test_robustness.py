@@ -11,15 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from forceplan import cli
+from forceplan import cli, robustness
 from forceplan.robot import default_arm, planar_two_link_arm
 from forceplan.robustness import (
     PerturbationSpec,
     chain_cost,
     cost_from_probability,
     _draws,
-    _perturbed_joints,
-    _transmitted,
+    _loaded_joints,
     perturbed_case,
     success_probability,
 )
@@ -365,8 +364,9 @@ class TestBatchedAgreesWithScalarOracle:
         z = _draws(range(spec.samples), 6 + 8 * patches, seed)
         fac = 1.0 + spec.wrench_rel * z[:, :6]
         wrench = w.as_array() * fac
-        joints = _perturbed_joints(chain, spec, z, fac[:, 2], [])
-        batched = _transmitted(chain, joints, wrench, [])
+        suspect = np.zeros(spec.samples, dtype=bool)
+        loaded = _loaded_joints(chain, spec, z, fac[:, 2], wrench, suspect)
+        batched = [wj for _, _, wj in loaded]
         for i in range(spec.samples):
             rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
             c2, w2 = perturbed_case(chain, w, spec, rng)
@@ -380,16 +380,24 @@ class TestBatchedAgreesWithScalarOracle:
     @pytest.mark.parametrize("scenario", ["bottle_default.json", "nut_default.json"])
     def test_every_robustness_chain_agrees(self, scenario, monkeypatch, capsys):
         calls = []
+        fallbacks = []
 
         def record(chain, w, spec, seed):
             p = success_probability(chain, w, spec, seed)
             calls.append((p, oracle_success_probability(chain, w, spec, seed)))
             return p
 
+        def counted(*args):
+            fallbacks.append(args)
+            return perturbed_case(*args)
+
         monkeypatch.setattr(cli, "success_probability", record)
+        monkeypatch.setattr(robustness, "perturbed_case", counted)
         assert cli.main(["robustness", str(SCENARIOS / scenario), "--samples", "100"]) == 0
         assert len(calls) == 40
         assert all(p == q for p, q in calls)
+        # No shipped chain has a sample the batched path leaves to the oracle.
+        assert fallbacks == []
         assert any(0.0 < p < 1.0 for p, _ in calls)
 
 
