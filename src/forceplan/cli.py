@@ -6,8 +6,8 @@ tabulates how plans change, ``robustness`` sweeps a load parameter and
 reports chain failure probabilities as CSV.
 
 Exit codes: 0 on success, 1 for a bad scenario file or arguments or when
-the reader of stdout has gone, 2 when planning finds no plan (no plan
-file is written).
+the reader of stdout has gone, 2 when planning finds no plan or its plan
+fails re-validation (no plan file is written).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import numpy as np
 
 from .domains import DOMAINS, bottle
 from .domains.scene import plan_summary
-from .planner import format_plan, plan_to_dict, solve
+from .planner import SolveResult, format_plan, plan_to_dict, solve, validate_plan
 from .robustness import cost_from_probability, success_probability
 from .scenario import ConfigError, load_scenario, resolve_stage
 
@@ -39,16 +40,23 @@ def _build(resolved):
 
 
 def _solve_stage(resolved):
+    """Solve one stage; a plan that fails re-validation counts as no plan."""
     _, _, problem, names = _build(resolved)
     start = time.perf_counter()
     result = solve(
         problem,
-        seed=resolved.seed,
         max_levels=resolved.budget["max_levels"],
         max_expansions=resolved.budget["max_expansions"],
     )
     wall = time.perf_counter() - start
-    return problem, result, plan_summary(result, names), wall
+    if result.solved:
+        ok, why = validate_plan(problem, result.plan, result.cost)
+        if not ok:
+            result = SolveResult(
+                None, math.inf, result.levels, result.expansions,
+                f"plan fails re-validation: {why}",
+            )
+    return result, plan_summary(result, names), wall
 
 
 def _stage_index(scenario, stage_arg: str) -> int:
@@ -75,7 +83,7 @@ def _resolved(args):
 
 def cmd_solve(args) -> int:
     _, resolved = _resolved(args)
-    _, result, summary, wall = _solve_stage(resolved)
+    result, summary, wall = _solve_stage(resolved)
     if not result.solved:
         print(f"no plan for stage '{resolved.name}' ({wall:.1f}s)")
         if result.diagnostic:
@@ -109,7 +117,7 @@ def cmd_ablate(args) -> int:
     for resolved in stages:
         if args.seed is not None:
             resolved = replace(resolved, seed=args.seed)
-        _, result, summary, wall = _solve_stage(resolved)
+        result, summary, wall = _solve_stage(resolved)
         all_solved &= result.solved
         rows.append(
             {

@@ -295,9 +295,7 @@ def build_problem(
 
     # ---- streams ----------------------------------------------------------
 
-    def sample_placement(binding, attempt, rng):
-        if attempt > 0:
-            return []
+    def sample_placement(binding):
         surface = binding["?s"]
         if surface == "mat":
             xy = cfg["mat_xy"]
@@ -307,9 +305,7 @@ def build_problem(
             return []
         return [(Transform(np.eye(3), np.array([xy[0], xy[1], 0.0])),)]
 
-    def sample_force(binding, attempt, rng):
-        if attempt > 0:
-            return []
+    def sample_force(binding):
         return [(float(e),) for e in world.op["extra_force_levels"]]
 
     at_bottle = (("Arm", "?a"), ("Pose", "bottle", "?p"))

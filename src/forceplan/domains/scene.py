@@ -237,9 +237,7 @@ def reach_stream(world: World, name: str, domain: tuple, fact: tuple, target) ->
     ``fact + (?q,)`` and ``(Conf ?a ?q)``.
     """
 
-    def sample(binding, attempt, rng):
-        if attempt > 0:
-            return []
+    def sample(binding):
         q = world.reach(binding["?a"], target(binding))
         return [] if q is None else [(q,)]
 
@@ -251,9 +249,7 @@ def reach_stream(world: World, name: str, domain: tuple, fact: tuple, target) ->
 def grasp_streams(world: World, object_grasp) -> list:
     """``grasp-for`` (one grasp per graspable object) and ``reach-grasp``."""
 
-    def sample_grasp(binding, attempt, rng):
-        if attempt > 0:
-            return []
+    def sample_grasp(binding):
         return [(object_grasp(binding["?o"]),)]
 
     return [
@@ -273,8 +269,8 @@ def grasp_streams(world: World, object_grasp) -> list:
 def connect_stream() -> Stream:
     """Straight joint-space motion between two configurations of one arm."""
 
-    def sample_motion(binding, attempt, rng):
-        if attempt > 0 or binding["?q1"] is binding["?q2"]:
+    def sample_motion(binding):
+        if binding["?q1"] is binding["?q2"]:
             return []
         return [(np.stack([binding["?q1"].payload, binding["?q2"].payload]),)]
 

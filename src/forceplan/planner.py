@@ -10,27 +10,24 @@ A problem couples three ingredients:
 
 Solving alternates grounding-plus-search with one round of stream
 invocations, so cheap plans that need few sampled values are found before
-the fact database grows.  Search is uniform cost over fluent states; every
-action pays its own cost plus a small per-step constant, which breaks cost
-ties toward shorter plans.
+the fact database grows.  A round that certifies no new fact ends the
+solve, since every later level would repeat the same search.  Search is
+uniform cost over fluent states; every action pays its own cost plus a
+small per-step constant, which breaks cost ties toward shorter plans.
 
-Everything is deterministic for a fixed seed.  Values are numbered in
-creation order, stream invocations seed their generators from the seed,
-the stream name, the input binding, and a persistent attempt counter, and
-search breaks remaining ties by heap insertion order.  Two runs with the
-same seed produce identical plans and identical serialized output.
-
-Streams are responsible for not re-emitting a value they already produced
-for the same inputs: exhaustive streams should return everything at
-attempt zero and nothing afterwards, while incremental streams should make
-attempt ``n`` produce only its own candidates.
+Each stream runs exactly once per input binding and returns everything
+it will ever produce for it; a stream is a deterministic function of its
+binding.  Facts, ground actions and stream calls are keyed by their
+arguments themselves, and a ``Value`` compares by identity.  Values are
+numbered in creation order and search breaks remaining ties by heap
+insertion order, so two runs produce identical plans and identical
+serialized output.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,10 +89,6 @@ def _arg_key(arg) -> str:
     return arg if isinstance(arg, str) else arg.name
 
 
-def _fact_key(fact) -> tuple:
-    return (fact[0],) + tuple(_arg_key(a) for a in fact[1:])
-
-
 def _pretty(fact) -> str:
     return "(" + " ".join([fact[0]] + [_arg_key(a) for a in fact[1:]]) + ")"
 
@@ -135,7 +128,7 @@ class ActionSchema:
 
 @dataclass(frozen=True)
 class Stream:
-    """Value sampler.  ``sample(binding, attempt, rng)`` returns output tuples."""
+    """Value sampler.  ``sample(binding)`` returns every output tuple at once."""
 
     name: str
     inputs: tuple
@@ -165,13 +158,12 @@ class Problem:
 
 
 class GroundAction:
-    __slots__ = ("schema", "args", "binding", "fluent_pre", "add", "delete", "cost", "key")
+    __slots__ = ("schema", "args", "binding", "fluent_pre", "add", "delete", "cost")
 
     def __init__(self, schema: ActionSchema, binding: dict, cost: float):
         self.schema = schema
         self.binding = binding
         self.args = tuple(binding[p] for p in schema.params)
-        self.key = (schema.name, tuple(_arg_key(a) for a in self.args))
         self.fluent_pre = frozenset(_instantiate(f, binding) for f in schema.fluent_pre)
         self.add = frozenset(_instantiate(f, binding) for f in schema.add)
         self.delete = frozenset(_instantiate(f, binding) for f in schema.delete)
@@ -237,9 +229,9 @@ def _ground_all(schemas, static_db, cost_cache):
             if any(p not in b for p in schema.params):
                 missing = [p for p in schema.params if p not in b]
                 raise ValueError(f"{schema.name}: params {missing} not bound by static preconditions")
-            if any(_arg_key(b[x]) == _arg_key(b[y]) for x, y in schema.neq):
+            if any(b[x] == b[y] for x, y in schema.neq):
                 continue
-            key = (schema.name, tuple(_arg_key(b[p]) for p in schema.params))
+            key = (schema.name, tuple(b[p] for p in schema.params))
             if key in seen:
                 continue
             seen.add(key)
@@ -290,16 +282,16 @@ def _search(grounded, init, goal, max_expansions):
     return None, math.inf, expansions
 
 
-def _add_fact(static_db, static_keys, fact):
-    key = _fact_key(fact)
-    if key in static_keys:
+def _add_fact(static_db, static_facts, fact):
+    if fact in static_facts:
         return False
-    static_keys.add(key)
+    static_facts.add(fact)
     static_db.setdefault(fact[0], []).append(fact)
     return True
 
 
-def _invoke_streams(problem, static_db, static_keys, attempts, seed):
+def _invoke_streams(problem, static_db, static_facts, invoked):
+    """Call each stream on its bindings not in ``invoked``; True if a fact is new."""
     progressed = False
     # Snapshot bindings for every stream first: facts certified during this
     # level only become visible to streams at the next level.
@@ -308,36 +300,23 @@ def _invoke_streams(problem, static_db, static_keys, attempts, seed):
         for stream in problem.streams
     ]
     for stream, pending in snapshots:
-        invoked = set()
         for b in pending:
             inputs = tuple(b.get(v) for v in stream.inputs)
             if any(v is None for v in inputs):
                 raise ValueError(f"{stream.name}: inputs not bound by domain facts")
-            key = (stream.name, tuple(_arg_key(a) for a in inputs))
+            key = (stream.name, inputs)
             if key in invoked:
                 continue
             invoked.add(key)
-            attempt = attempts.get(key, 0)
-            attempts[key] = attempt + 1
-            rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    (
-                        seed,
-                        zlib.crc32(stream.name.encode()),
-                        zlib.crc32("/".join(key[1]).encode()),
-                        attempt,
-                    )
-                )
-            )
             binding = {v: a for v, a in zip(stream.inputs, inputs)}
-            for result in stream.sample(binding, attempt, rng):
+            for result in stream.sample(binding):
                 if len(result) != len(stream.outputs):
                     raise ValueError(f"{stream.name}: result arity mismatch")
                 full = dict(binding)
                 for var, payload in zip(stream.outputs, result):
                     full[var] = problem.registry.add(var.lstrip("?"), payload)
                 for cert in stream.certified:
-                    if _add_fact(static_db, static_keys, _instantiate(cert, full)):
+                    if _add_fact(static_db, static_facts, _instantiate(cert, full)):
                         progressed = True
     return progressed
 
@@ -349,32 +328,34 @@ def _diagnose(problem, static_db, grounded):
             if not any(_match(pat, f, {}) is not None for f in static_db.get(pat[0], ())):
                 notes.append(f"{schema.name}: no fact matches {_pretty(pat)}")
                 break
-    achievable = set()
+    achievable = set(problem.init)
     for ga in grounded:
-        achievable |= {_fact_key(f) for f in ga.add}
-    init_keys = {_fact_key(f) for f in problem.init}
+        achievable |= ga.add
     for g in problem.goal:
-        if _fact_key(g) not in achievable | init_keys:
+        if g not in achievable:
             notes.append(f"goal {_pretty(g)} is not added by any grounded action")
     return "; ".join(notes) if notes else "search exhausted the reachable states"
 
 
 def solve(
     problem: Problem,
-    seed: int = 0,
     max_levels: int = 8,
     max_expansions: int = 200_000,
 ) -> SolveResult:
-    """Incremental solve: search, then widen the fact database, repeat."""
+    """Incremental solve: search, then widen the fact database, repeat.
+
+    Stops at the first plan, at ``max_levels``, or when a level's streams
+    certify no new fact; a failed result reports the last level searched.
+    """
     static_db: dict = {}
-    static_keys: set = set()
+    static_facts: set = set()
     for f in problem.statics:
-        _add_fact(static_db, static_keys, f)
-    attempts: dict = {}
+        _add_fact(static_db, static_facts, f)
+    invoked: set = set()
     cost_cache: dict = {}
     total_expansions = 0
-    grounded = []
-    for level in range(max_levels + 1):
+    level = 0
+    while True:
         grounded = _ground_all(problem.schemas, static_db, cost_cache)
         plan, cost, expansions = _search(
             grounded, problem.init, problem.goal, max_expansions
@@ -382,14 +363,14 @@ def solve(
         total_expansions += expansions
         if plan is not None:
             return SolveResult(plan, cost, level, total_expansions)
-        if not problem.streams:
-            break
-        if level < max_levels:
-            _invoke_streams(problem, static_db, static_keys, attempts, seed)
-    return SolveResult(
-        None, math.inf, min(level, max_levels), total_expansions,
-        _diagnose(problem, static_db, grounded),
-    )
+        if level >= max_levels or not _invoke_streams(
+            problem, static_db, static_facts, invoked
+        ):
+            return SolveResult(
+                None, math.inf, level, total_expansions,
+                _diagnose(problem, static_db, grounded),
+            )
+        level += 1
 
 
 def validate_plan(problem: Problem, plan, expected_cost=None):

@@ -244,6 +244,10 @@ def parse_scenario(text: str) -> Scenario:
         _PERTURBATION_DEFAULTS, raw.get("perturbation", {}), "perturbation"
     )
     budget = _merge_section(_BUDGET_DEFAULTS, raw.get("budget", {}), "budget")
+    if budget["max_levels"] < 0:
+        raise ConfigError("'budget.max_levels' must be nonnegative")
+    if budget["max_expansions"] < 1:
+        raise ConfigError("'budget.max_expansions' must be at least 1")
     disable = _check_disable(raw.get("disable", []), module, "disable")
     _check_sections(
         {"scene": scene, "operation": operation, "perturbation": perturbation}

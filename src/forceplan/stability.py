@@ -19,9 +19,9 @@ the negated wrench.
 Margins
 -------
 * circular patch: 1 minus the ellipsoidal limit-surface quadratic form,
-* polygon patch: scale found by bisection, capped at 1 (conic feasibility
-  is scale invariant, so any strictly feasible wrench saturates the cap);
-  infeasible wrenches get the negated normalized cone residual,
+* polygon patch: 1 for a feasible wrench (conic feasibility is scale
+  invariant, so there is no finer scale to report); infeasible wrenches
+  get the negated normalized cone residual,
 * arm joint: 1 minus the worst torque utilization ratio,
 * rigid joint: 1.
 
@@ -318,33 +318,16 @@ def _cone_feasible(w: np.ndarray, generators: np.ndarray, tol: float):
 def in_convex_cone(w, generators, tol: float = _CONE_TOL):
     """Membership of ``w`` in the nonnegative span of ``generators``.
 
-    Returns ``(feasible, margin)``.  The margin for a feasible wrench is
-    the largest scale s in [0, 1] such that w/s stays feasible, found by
-    bisection and capped at 1 (testing 2w first); conic feasibility is
-    scale invariant, so strictly feasible wrenches report the cap.  An
-    infeasible wrench reports the negated normalized cone residual.
+    Returns ``(feasible, margin)``.  Conic feasibility is scale invariant,
+    so a feasible wrench reports the cap margin of 1; an infeasible
+    wrench reports the negated normalized cone residual.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     generators = np.asarray(generators, dtype=float)
     if generators.size == 0:
         generators = np.zeros((0, w.shape[0]))
     feasible, residual = _cone_feasible(w, generators, tol)
-    if not feasible:
-        return False, -residual
-    if np.linalg.norm(w) <= tol:
-        return True, 1.0
-    ok2, _ = _cone_feasible(2.0 * w, generators, tol)
-    if ok2:
-        return True, 1.0
-    lo, hi = 0.5, 1.0  # w/hi known feasible, w/lo known infeasible
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        ok, _ = _cone_feasible(w / mid, generators, tol)
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-    return True, hi
+    return (True, 1.0) if feasible else (False, -residual)
 
 
 def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
@@ -352,9 +335,7 @@ def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
 
     Sample s is the patch with ``mu[s]`` and ``corners[s]`` transmitting
     ``wrenches[s]`` (force over torque).  Only the verdict is computed:
-    one NNLS feasibility test per sample.  The margin bisection of
-    ``in_convex_cone`` never changes it, since a feasible wrench always
-    reports a margin of at least 0.5.
+    one NNLS feasibility test per sample, as in ``in_convex_cone``.
     """
     generators = friction_cone_generators_batch(mu, corners, normal_forces)
     verdicts = np.empty(len(mu), dtype=bool)
@@ -368,34 +349,23 @@ def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
     return verdicts
 
 
-def beam_support_forces(
-    beam_length: float,
-    load_mass: float,
-    load_center: float,
-    load_extent: float = 0.0,
-    gravity: float = GRAVITY,
-):
-    """End reactions of a simply supported beam under a uniform load.
+def beam_support_forces(beam_length: float, load_mass: float, load_center: float):
+    """End reactions of a simply supported beam under a point load.
 
-    The load of total weight ``load_mass * gravity`` is centered at
-    ``load_center`` (measured from the left support) and spans
-    ``load_extent``; it must lie fully between the supports.  Returns
-    ``(left, right)`` reaction forces.
+    The load of weight ``load_mass * GRAVITY`` sits at ``load_center``
+    (measured from the left support), which must lie between the
+    supports.  Returns ``(left, right)`` reaction forces.
     """
     if beam_length <= 0:
         raise ValueError("beam length must be positive")
     if load_mass < 0:
         raise ValueError("load mass must be nonnegative")
-    if load_extent < 0:
-        raise ValueError("load extent must be nonnegative")
-    lo = load_center - 0.5 * load_extent
-    hi = load_center + 0.5 * load_extent
-    if lo < -1e-12 or hi > beam_length + 1e-12:
+    if load_center < -1e-12 or load_center > beam_length + 1e-12:
         raise ValueError(
-            f"load spanning [{lo:.4f}, {hi:.4f}] m overhangs the supports "
+            f"load at {load_center:.4f} m overhangs the supports "
             f"of a {beam_length:.4f} m beam"
         )
-    total = load_mass * gravity
+    total = load_mass * GRAVITY
     right = total * load_center / beam_length
     left = total - right
     return left, right

@@ -279,7 +279,6 @@ def test_robustness_curves_have_expected_shapes(tmp_path):
     _, world, problem, names = cli._build(resolved)
     result = solve(
         problem,
-        seed=resolved.seed,
         max_levels=resolved.budget["max_levels"],
         max_expansions=resolved.budget["max_expansions"],
     )
@@ -457,14 +456,14 @@ def test_planner_is_exact_on_enumerable_domains_and_deterministic(tmp_path):
         problem, ground, depth, expected_names = build()
         optimum = enumerate_min_cost(ground, problem.init, problem.goal, depth)
         assert math.isfinite(optimum)
-        result = solve(problem, seed=0)
+        result = solve(problem)
         assert result.solved, build.__name__
         assert result.cost == pytest.approx(optimum, abs=1e-12), build.__name__
         ok, msg = validate_plan(problem, result.plan, result.cost)
         assert ok, msg
         if expected_names is not None:
             assert [ga.schema.name for ga in result.plan] == expected_names
-        again = solve(build()[0], seed=0)
+        again = solve(build()[0])
         first = json.dumps(plan_to_dict(result, seed=0), sort_keys=True)
         second = json.dumps(plan_to_dict(again, seed=0), sort_keys=True)
         assert first == second

@@ -149,7 +149,7 @@ class TestPlanning:
     def test_default_scene_four_step_twist(self):
         world = make_world()
         problem, names = bottle.build_problem(world, PerturbationSpec(), seed=0)
-        result = solve(problem, seed=0)
+        result = solve(problem)
         assert result.solved
         summary = plan_summary(result, names)
         assert summary["steps"] == 4
@@ -165,7 +165,7 @@ class TestPlanning:
             world, PerturbationSpec(), seed=0,
             disable=("palm-press", "fingertip-press", "twist-tool"),
         )
-        result = solve(problem, seed=0)
+        result = solve(problem)
         assert result.solved
         summary = plan_summary(result, names)
         assert summary["steps"] == 6
@@ -180,7 +180,7 @@ class TestPlanning:
             world, PerturbationSpec(), seed=0,
             disable=("wrap-grip", "palm-press", "fingertip-press"),
         )
-        result = solve(problem, seed=0)
+        result = solve(problem)
         assert result.solved
         summary = plan_summary(result, names)
         assert summary["steps"] == 8
@@ -196,7 +196,7 @@ class TestPlanning:
             friction={"bottle-table": 0.08},
         )
         problem, names = bottle.build_problem(world, PerturbationSpec(), seed=0)
-        result = solve(problem, seed=0, max_levels=4)
+        result = solve(problem, max_levels=4)
         assert not result.solved
         assert plan_summary(result, names)["steps"] == 0
 

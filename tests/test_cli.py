@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from forceplan.cli import main
+from forceplan.domains import nut
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -46,6 +48,30 @@ class TestSolve:
         text = capsys.readouterr().out
         assert "spanner-twist" in text
 
+    @pytest.mark.parametrize(
+        "scenario, stage, digest",
+        [
+            ("bottle_default", "full", "a81d63c622d9b14554ed838f4541fae211ef2aec837ce6f068132a1461c02534"),
+            ("bottle_a1", "baseline", "06f37b9ff4b8f47e1c21219eeebfb058c36e4011315926f88fd756062577bc0f"),
+            ("bottle_a1", "slippery-table", "e03dd89eaf38a662b983246f5f8940bec54bebff41623f1c22b93753b75e2ca8"),
+            ("bottle_a1", "one-arm", "81af3e5a129ae35a1da1b518bb99db359c0fce696210ff50a4e3ffb8196084f2"),
+            ("bottle_a1", "no-mat", "c8a7beb6a8073a18e70d4902c672bdf4405541ac49a8aef391e6a67905626481"),
+            ("bottle_a2", "all-hands", "1b469155482d9f317b2abf14912cd18b8934ec283624e88fb7f265e65cbffbf0"),
+            ("bottle_a2", "no-wrap", "dd9e7bc11a09c9585b95a190c8121ca6d6c80268d08674decfc62e6a11ae1281"),
+            ("bottle_a2", "fingertips-only", "81c32bee37f558bf6687cecddf0bf716f75996b3338de7201826a482c721ca8d"),
+            ("bottle_a2", "tool-only", "eb08dd8e531435da669c1fe888f8fb22a019b92262eccf4faf74736bf854d6f4"),
+            ("nut_default", "two-arms", "d09260da84a64d52a635ef564cc17a5652dec84d79175b47842ecdc0d68b99e8"),
+            ("nut_default", "one-arm", "7b9de45ca0688b931436d3332b1d1abe9c8ed17ac5323afabe124618cd50b0f5"),
+        ],
+    )
+    def test_shipped_plan_files_are_pinned(self, tmp_path, capsys, scenario, stage, digest):
+        # Together with the nut_stiff pin above, every shipped stage's plan
+        # file at its scenario seed is fixed byte for byte.
+        out = tmp_path / "plan.json"
+        argv = ["solve", str(SCENARIOS / f"{scenario}.json"), "--stage", stage]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_stage_can_be_selected_by_name(self, capsys):
         scenario = str(SCENARIOS / "nut_default.json")
         assert main(["solve", scenario, "--stage", "one-arm"]) == 0
@@ -64,6 +90,24 @@ class TestSolve:
         assert main(["solve", str(scenario), "--out", str(out)]) == 2
         assert not out.exists()
         assert "no plan" in capsys.readouterr().out
+
+    def test_plan_that_fails_revalidation_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Each call prices a little higher, so no action re-prices to the
+        # cost the search paid for it.
+        calls = itertools.count(1)
+        monkeypatch.setattr(nut, "chain_cost", lambda *args: 1e-3 * next(calls))
+        out = tmp_path / "plan.json"
+        assert main(["solve", str(SCENARIOS / "nut_stiff.json"), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "plan fails re-validation: step" in capsys.readouterr().out
+
+    def test_negative_budget_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"domain": "bottle-cap", "budget": {"max_levels": -1}}')
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "'budget.max_levels' must be nonnegative" in err
+        assert "Traceback" not in err
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

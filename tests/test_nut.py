@@ -112,7 +112,7 @@ class TestPlanning:
     def test_two_arms_pin_the_slat_and_twist(self):
         world = make_world()
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
-        result = solve(problem, seed=0)
+        result = solve(problem)
         assert result.solved
         summary = plan_summary(result, names)
         assert summary["steps"] == 4
@@ -125,7 +125,7 @@ class TestPlanning:
     def test_lone_arm_ballasts_the_slat_with_the_middle_weight(self):
         world = make_world(arms=["arm0"])
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
-        result = solve(problem, seed=0)
+        result = solve(problem)
         assert result.solved
         summary = plan_summary(result, names)
         assert summary["steps"] == 6
@@ -138,7 +138,7 @@ class TestPlanning:
     def test_stiff_nut_needs_the_spanner(self):
         world = make_world(op={"torque": 0.9})
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
-        result = solve(problem, seed=0)
+        result = solve(problem)
         assert result.solved
         summary = plan_summary(result, names)
         assert summary["steps"] == 6
@@ -150,5 +150,5 @@ class TestPlanning:
     def test_stiff_nut_without_spanner_is_unsolvable(self):
         world = make_world(op={"torque": 0.9}, spanner=False)
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
-        result = solve(problem, seed=0, max_levels=4)
+        result = solve(problem, max_levels=4)
         assert not result.solved

@@ -130,20 +130,38 @@ class TestSearch:
         assert solve(duo).solved
 
 
-def key_stream(payloads_by_attempt):
-    """Certify (Key v) for each payload scheduled at a given attempt."""
-
-    def sample(binding, attempt, rng):
-        return [(p,) for p in payloads_by_attempt.get(attempt, [])]
-
+def key_stream(payloads):
+    """Certify (Key v) for each payload."""
     return Stream(
         name="gen-key",
         inputs=(),
         domain_facts=(),
         outputs=("?k",),
         certified=(("Key", "?k"),),
-        sample=sample,
+        sample=lambda binding: [(p,) for p in payloads],
     )
+
+
+def cut_stream(sample=None):
+    """Certify (Cut k c) for each key k, by default cutting its payload."""
+    return Stream(
+        name="cut-key",
+        inputs=("?k",),
+        domain_facts=(("Key", "?k"),),
+        outputs=("?c",),
+        certified=(("Cut", "?k", "?c"),),
+        sample=sample or (lambda binding: [(binding["?k"].payload + "-cut",)]),
+    )
+
+
+OPEN_DOOR = ActionSchema(
+    name="open-door",
+    params=("?k", "?c"),
+    static_pre=(("Cut", "?k", "?c"),),
+    fluent_pre=(),
+    add=(("Open",),),
+    delete=(),
+)
 
 
 def grab_problem(stream):
@@ -160,76 +178,59 @@ def grab_problem(stream):
 
 class TestStreams:
     def test_sampled_value_enables_plan(self):
-        result = solve(grab_problem(key_stream({0: [3.14]})))
+        result = solve(grab_problem(key_stream([3.14])))
         assert result.solved
         assert result.levels == 1
         value = result.plan[0].args[0]
         assert value.payload == 3.14
         assert value.kind == "k"
 
-    def test_attempt_counter_advances_each_level(self):
-        result = solve(grab_problem(key_stream({1: [2.72]})))
-        assert result.solved
-        assert result.levels == 2
-
     def test_stream_failure_exhausts_levels(self):
-        result = solve(grab_problem(key_stream({})), max_levels=3)
+        result = solve(grab_problem(key_stream([])), max_levels=3)
         assert not result.solved
         assert "grab" in result.diagnostic
 
-    def test_chained_streams_need_two_levels(self):
-        first = key_stream({0: ["raw"]})
-        second = Stream(
-            name="cut-key",
-            inputs=("?k",),
-            domain_facts=(("Key", "?k"),),
-            outputs=("?c",),
-            certified=(("Cut", "?k", "?c"),),
-            sample=lambda binding, attempt, rng: [(binding["?k"].payload + "-cut",)]
-            if attempt == 0
-            else [],
-        )
-        use = ActionSchema(
+    def test_level_without_new_facts_ends_the_solve(self):
+        assert solve(grab_problem(key_stream([])), max_levels=8).levels == 0
+
+    def test_each_stream_runs_once_per_binding(self):
+        calls = []
+
+        def gen(binding):
+            calls.append(("gen-key",))
+            return [("a",), ("b",)]
+
+        def cut(binding):
+            calls.append(("cut-key", binding["?k"].payload))
+            return [(binding["?k"].payload + "-cut",)]
+
+        stuck = ActionSchema(
             name="open-door",
             params=("?k", "?c"),
-            static_pre=(("Cut", "?k", "?c"),),
+            static_pre=(("Cut", "?k", "?c"), ("Master", "?k")),
             fluent_pre=(),
             add=(("Open",),),
             delete=(),
         )
-        problem = Problem([], [], [("Open",)], [use], [first, second])
+        generator = Stream("gen-key", (), (), ("?k",), (("Key", "?k"),), gen)
+        problem = Problem([], [], [("Open",)], [stuck], [generator, cut_stream(cut)])
+        result = solve(problem, max_levels=8)
+        assert not result.solved
+        assert calls == [("gen-key",), ("cut-key", "a"), ("cut-key", "b")]
+        # Level 2 runs no stream on a new binding, so no later level searches.
+        assert result.levels == 2
+
+    def test_chained_streams_need_two_levels(self):
+        problem = Problem([], [], [("Open",)], [OPEN_DOOR], [key_stream(["raw"]), cut_stream()])
         result = solve(problem)
         assert result.solved
         assert result.levels == 2
         assert result.plan[0].args[1].payload == "raw-cut"
 
-    def test_stream_rng_is_deterministic_per_seed(self):
-        def sample(binding, attempt, rng):
-            return [(float(rng.normal()),)] if attempt == 0 else []
-
-        def fresh():
-            return grab_problem(
-                Stream("gen-key", (), (), ("?k",), (("Key", "?k"),), sample)
-            )
-
-        r1 = solve(fresh(), seed=7)
-        r2 = solve(fresh(), seed=7)
-        r3 = solve(fresh(), seed=8)
-        assert r1.plan[0].args[0].payload == r2.plan[0].args[0].payload
-        assert r1.plan[0].args[0].payload != r3.plan[0].args[0].payload
-
     def test_serialized_plans_are_byte_identical(self):
-        def sample(binding, attempt, rng):
-            return [(rng.normal(size=3),)] if attempt == 0 else []
-
-        def fresh():
-            return grab_problem(
-                Stream("gen-key", (), (), ("?k",), (("Key", "?k"),), sample)
-            )
-
         blobs = []
         for _ in range(2):
-            result = solve(fresh(), seed=5)
+            result = solve(grab_problem(key_stream([np.array([0.1, -2.0, 3.5])])))
             blobs.append(
                 json.dumps(plan_to_dict(result, seed=5), sort_keys=True).encode()
             )
@@ -253,12 +254,17 @@ class TestCosts:
             delete=(("Empty",),),
             cost_fn=cost_fn,
         )
-        # The key appears at attempt 1, so grounding happens over 2+ levels.
-        problem = Problem([], [("Empty",)], [("Holding",)], [grab], [key_stream({1: ["k"]})])
+        # The goal also needs the cut key, which appears a level after the
+        # key itself, so grab is grounded at levels 1 and 2.
+        problem = Problem(
+            [], [("Empty",)], [("Holding",), ("Open",)], [grab, OPEN_DOOR],
+            [key_stream(["k"]), cut_stream()],
+        )
         result = solve(problem, max_levels=4)
         assert result.solved
+        assert result.levels == 2
         assert len(calls) == len(set(calls)) == 1
-        assert result.cost == pytest.approx(0.25 + STEP_COST, abs=1e-15)
+        assert result.cost == pytest.approx(0.25 + 2 * STEP_COST, abs=1e-15)
 
 
 class TestValidation:
@@ -299,7 +305,7 @@ class TestValidation:
 
     def test_stream_rejects_unknown_certified_variable(self):
         with pytest.raises(ValueError):
-            Stream("s", (), (), ("?a",), (("Fact", "?b"),), lambda b, a, r: [])
+            Stream("s", (), (), ("?a",), (("Fact", "?b"),), lambda b: [])
 
 
 class TestSerialization:

@@ -246,9 +246,8 @@ class TestBeamSupports:
         for _ in range(100):
             L = rng.uniform(0.2, 3.0)
             m = rng.uniform(0.0, 10.0)
-            ext = rng.uniform(0.0, 0.5 * L)
-            c = rng.uniform(0.5 * ext, L - 0.5 * ext)
-            left, right = beam_support_forces(L, m, c, ext)
+            c = rng.uniform(0.0, L)
+            left, right = beam_support_forces(L, m, c)
             assert left + right == pytest.approx(m * 9.81, abs=1e-9)
             assert left >= -1e-12 and right >= -1e-12
             # Moment balance about the left support.
@@ -256,9 +255,9 @@ class TestBeamSupports:
 
     def test_overhang_rejected(self):
         with pytest.raises(ValueError):
-            beam_support_forces(1.0, 2.0, 0.05, load_extent=0.2)
+            beam_support_forces(1.0, 2.0, -0.05)
         with pytest.raises(ValueError):
-            beam_support_forces(1.0, 2.0, 0.95, load_extent=0.2)
+            beam_support_forces(1.0, 2.0, 1.05)
 
 
 class TestJointStable:
