@@ -149,8 +149,6 @@ class TestValues:
                 "operation.extra_force_levels[0]",
             ),
             ("bottle-cap", "budget.max_levels", 1.5, "budget.max_levels"),
-            ("bottle-cap", "budget.max_levels", -1, "budget.max_levels"),
-            ("nut-fastening", "budget.max_expansions", -5, "budget.max_expansions"),
             ("bottle-cap", "scene.bottle_xy", [0.0], "scene.bottle_xy"),
             ("bottle-cap", "scene.hand_pad_half_extents", [0.03, 0.02, 0.01],
              "scene.hand_pad_half_extents"),
@@ -169,6 +167,8 @@ class TestValues:
                 "bottle-cap", "operation.extra_force_levels", [0.0, float("inf")],
                 "operation.extra_force_levels[1]",
             ),
+            ("bottle-cap", "budget.max_levels", -1, "budget.max_levels"),
+            ("nut-fastening", "budget.max_expansions", -5, "budget.max_expansions"),
         ],
     )
     def test_bad_values_name_the_dotted_path(self, domain, dotted, value, reported):
