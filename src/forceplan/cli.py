@@ -5,9 +5,10 @@ stage and can write the plan as JSON, ``ablate`` runs every stage and
 tabulates how plans change, ``robustness`` sweeps a load parameter and
 reports chain failure probabilities as CSV.
 
-Exit codes: 0 on success, 1 for a bad scenario file or arguments or when
-the reader of stdout has gone, 2 when planning finds no plan or its plan
-fails re-validation (no plan file is written).
+Exit codes: 0 on success, 1 for a bad scenario file or arguments, a file
+that cannot be read or written, or when the reader of stdout has gone, 2
+when planning finds no plan or its plan fails re-validation (no plan file
+is written).
 """
 
 from __future__ import annotations
@@ -158,29 +159,19 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 
 def _bottle_rows(world, resolved, spec):
-    cfg = world.cfg
-    arm = cfg["arms"][0]
-    q_hand = world.reach(arm, world.twist_hand_target(world.bottle_pose))
-    q_tool = (
-        world.reach(arm, world.tool_twist_target(world.bottle_pose))
-        if cfg["tool"]
-        else None
-    )
-    strategies = [
-        s
-        for s in bottle.STRATEGIES
-        if s not in resolved.disable and (s != "twist-tool" or q_tool is not None)
-    ]
-    routes = [
-        r
-        for r in bottle.ROUTES
-        if r not in resolved.disable and world.route_available(r)
-    ]
+    """Rows of every offered route and of each offered strategy the arm reaches."""
+    arm, pose = world.cfg["arms"][0], world.bottle_pose
+    strategies, routes = world.offered(resolved.disable)
+    q_hand = world.reach(arm, world.twist_hand_target(pose))
+    confs = {s: q_hand for s in strategies if s != "twist-tool"}
+    if "twist-tool" in strategies:
+        confs["twist-tool"] = world.reach(arm, world.tool_twist_target(pose))
     levels = resolved.operation["extra_force_levels"]
     rows = []
     for extra in levels:
-        for strategy in strategies:
-            q = q_tool if strategy == "twist-tool" else q_hand
+        for strategy, q in confs.items():
+            if q is None:
+                continue
             chain, w = world.twist_chain(strategy, float(extra), arm, q)
             p = success_probability(chain, w, spec, resolved.seed)
             rows.append((float(extra), strategy, 1.0 - p, cost_from_probability(p)))
@@ -192,6 +183,9 @@ def _bottle_rows(world, resolved, spec):
 
 
 def _nut_rows(world, resolved, spec, grid):
+    """Rows of the weight hold and, if the first arm reaches the spot, the carry."""
+    if not world.cfg["weight_spots"]:
+        raise ConfigError("'scene.weight_spots' must name a spot for the mass sweep")
     if grid is None:
         grid = np.linspace(0.25, 5.0, 20)
     spot = world.cfg["weight_spots"][0]
@@ -202,6 +196,8 @@ def _nut_rows(world, resolved, spec, grid):
         chain, w = world.fixture_chain("weight-hold", (float(mass), spot))
         p = success_probability(chain, w, spec, resolved.seed)
         rows.append((float(mass), "weight-hold", 1.0 - p, cost_from_probability(p)))
+        if q_carry is None:
+            continue
         chain, w = world.carry_chain(float(mass), arm, q_carry)
         p = success_probability(chain, w, spec, resolved.seed)
         rows.append((float(mass), "weight-carry", 1.0 - p, cost_from_probability(p)))
@@ -210,6 +206,8 @@ def _nut_rows(world, resolved, spec, grid):
 
 def cmd_robustness(args) -> int:
     _, resolved = _resolved(args)
+    if not resolved.scene["arms"]:
+        raise ConfigError("'scene.arms' must name an arm for the robustness sweep")
     module, world, _, _ = _build(resolved)
     spec = replace(resolved.spec, samples=args.samples)
     grid = _parse_sweep(args.sweep) if args.sweep else None
@@ -290,10 +288,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -28,10 +28,8 @@ from .scene import (
     grasp_streams,
     pad_frame,
     pad_grasp_joint,
-    pinch_grasp,
     reach_stream,
     tool_down_rotation,
-    twist_cost_fn,
     twist_schemas,
 )
 
@@ -95,12 +93,6 @@ STRATEGIES = HAND_STRATEGIES + ("twist-tool",)
 ROUTES = ("table-friction", "mat-friction", "arm-hold", "vise-hold")
 
 
-# Carried object -> (mass key, hand friction pair, grasp height key).
-_CARRIED = {
-    "bottle": ("bottle_mass", "hand-bottle", "grasp_height"),
-    "tool": ("tool_mass", "hand-tool", "tool_grasp_height"),
-}
-
 # Strategy -> (friction pair, radius key) of its patch on the cap.  The
 # wrap grip squeezes the cap's rim; every other strategy presses on top,
 # so its patch carries the push force.
@@ -117,29 +109,30 @@ _HAND_TWIST = (
     (("TwistReady", "?a", "?p", "?q"), ("Force", "?e")),
     (("AtPose", "bottle", "?p"), ("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
 )
-_STRATEGY_PARTS = {s: _HAND_TWIST for s in HAND_STRATEGIES} | {
-    "twist-tool": (
-        ("?a", "?p", "?g", "?q", "?e"),
-        (("ToolTwistReady", "?a", "?p", "?g", "?q"), ("Force", "?e")),
-        (
-            ("AtPose", "bottle", "?p"),
-            ("AtConf", "?a", "?q"),
-            ("Holding", "?a", "tool", "?g"),
-        ),
-    ),
-}
-_ROUTE_PARTS = {
-    "table-friction": ((), (("Placement", "bottle", "?p", "table"),), ()),
-    "mat-friction": ((), (("Placement", "bottle", "?p", "mat"),), ()),
-    "arm-hold": (("?h",), (("Arm", "?h"),), (("SteadyHold", "bottle", "?h"),)),
-    "vise-hold": (
-        (), (("Placement", "bottle", "?p", "vise"),), (("ViseSecured", "bottle"),)
-    ),
-}
 
 
 class BottleWorld(World):
     """Scene geometry plus the chain builders for every strategy and route."""
+
+    STRATEGY_PARTS = {s: _HAND_TWIST for s in HAND_STRATEGIES} | {
+        "twist-tool": (
+            ("?a", "?p", "?g", "?q", "?e"),
+            (("ToolTwistReady", "?a", "?p", "?g", "?q"), ("Force", "?e")),
+            (
+                ("AtPose", "bottle", "?p"),
+                ("AtConf", "?a", "?q"),
+                ("Holding", "?a", "tool", "?g"),
+            ),
+        ),
+    }
+    ROUTE_PARTS = {
+        "table-friction": ((), (("Placement", "bottle", "?p", "table"),), ()),
+        "mat-friction": ((), (("Placement", "bottle", "?p", "mat"),), ()),
+        "arm-hold": (("?h",), (("Arm", "?h"),), (("SteadyHold", "bottle", "?h"),)),
+        "vise-hold": (
+            (), (("Placement", "bottle", "?p", "vise"),), (("ViseSecured", "bottle"),)
+        ),
+    }
 
     def __init__(self, cfg: dict, op: dict):
         super().__init__(cfg, op)
@@ -149,6 +142,10 @@ class BottleWorld(World):
         self.tool_pose = Transform(
             np.eye(3), np.array([cfg["tool_xy"][0], cfg["tool_xy"][1], 0.0])
         )
+
+    def strategy_available(self, strategy: str) -> bool:
+        """Whether the scene has what ``strategy`` needs (the driver tool)."""
+        return strategy != "twist-tool" or bool(self.cfg["tool"])
 
     def route_available(self, route: str) -> bool:
         """Whether the scene has what ``route`` needs (mat, vise, second arm)."""
@@ -181,8 +178,10 @@ class BottleWorld(World):
         )
         return Transform(tool_down_rotation(), ee)
 
-    def object_grasp(self, obj: str):
-        return pinch_grasp(obj, self.cfg[_CARRIED[obj][2]])
+    def carried(self, obj: str):
+        if obj == "bottle":
+            return self.cfg["bottle_mass"], "hand-bottle", self.cfg["grasp_height"]
+        return self.cfg["tool_mass"], "hand-tool", self.cfg["tool_grasp_height"]
 
     # ---- chains -----------------------------------------------------------
 
@@ -245,12 +244,11 @@ class BottleWorld(World):
             raise KeyError(route)
         return chain, self.cap_wrench(extra)
 
-    def grasp_hold_chain(self, obj: str, arm_name: str, q):
-        """Carrying an object in the pinch grasp, loaded by its own weight."""
-        mass, pair, height = _CARRIED[obj]
-        return self.pinch_carry_chain(
-            self.cfg[mass], self.mu(pair), self.cfg[height], arm_name, q
-        )
+    def hand_chain(self, strategy: str, b):
+        return self.twist_chain(strategy, b["?e"].payload, b["?a"], b["?q"].payload)
+
+    def fixture_for(self, route: str, b):
+        return self.fixture_chain(route, b["?e"].payload)
 
 
 def build_world(scene_cfg: dict, op_cfg: dict) -> BottleWorld:
@@ -266,10 +264,9 @@ def build_problem(
     """Planning problem for the configured scene.
 
     ``disable`` removes strategies or routes by name; absent scene pieces
-    (no mat, one arm, no vise) remove their routes automatically.
+    (no tool, mat or vise, one arm) remove theirs (``World.offered``).
     """
     cfg = world.cfg
-    disable = set(disable)
     registry = ValueRegistry()
 
     statics, init = world.arm_facts(registry)
@@ -315,7 +312,7 @@ def build_problem(
             (("Placement", "?o", "?p", "?s"), ("Pose", "?o", "?p")),
             sample_placement,
         ),
-        *grasp_streams(world, world.object_grasp),
+        *grasp_streams(world),
         reach_stream(
             world, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
             lambda b: world.twist_hand_target(b["?p"].payload),
@@ -329,7 +326,7 @@ def build_problem(
             "press-levels", (), (), ("?e",), (("Force", "?e"),), sample_force,
         ),
     ]
-    if cfg["tool"] and "twist-tool" not in disable:
+    if "twist-tool" in world.offered(disable)[0]:
         streams.append(
             reach_stream(
                 world, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
@@ -342,15 +339,6 @@ def build_problem(
 
     def price(chain, w):
         return chain_cost(chain, w, spec, seed)
-
-    def twist_cost(strategy, route):
-        return twist_cost_fn(
-            price,
-            lambda b: world.twist_chain(
-                strategy, b["?e"].payload, b["?a"], b["?q"].payload
-            ),
-            lambda b: world.fixture_chain(route, b["?e"].payload),
-        )
 
     # ---- schemas ----------------------------------------------------------
 
@@ -397,18 +385,8 @@ def build_problem(
             delete=(("HandEmpty", "?a"),),
         ),
     ]
-    strategies = {
-        s: _STRATEGY_PARTS[s]
-        for s in STRATEGIES
-        if s not in disable and (s != "twist-tool" or cfg["tool"])
-    }
-    routes = {
-        r: _ROUTE_PARTS[r]
-        for r in ROUTES
-        if r not in disable and world.route_available(r)
-    }
     twists, twist_names = twist_schemas(
-        "twist-cap", ("CapLoose",), strategies, routes, twist_cost
+        world, "twist-cap", ("CapLoose",), disable, price
     )
     problem = Problem(
         statics, init, [("CapRemoved",)], schemas + twists, streams, registry

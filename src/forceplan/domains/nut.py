@@ -30,10 +30,8 @@ from .scene import (
     grasp_streams,
     pad_frame,
     pad_grasp_joint,
-    pinch_grasp,
     reach_stream,
     tool_down_rotation,
-    twist_cost_fn,
     twist_schemas,
 )
 
@@ -83,35 +81,40 @@ STRATEGIES = ("finger-twist", "spanner-twist")
 ROUTES = ("arm-hold", "weight-hold", "rest-hold")
 
 
-# (params, static, fluent) fragments of the twist schemas.
-_STRATEGY_PARTS = {
-    "finger-twist": (
-        ("?a", "?q"),
-        (("NutReady", "?a", "?q"),),
-        (("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
-    ),
-    "spanner-twist": (
-        ("?a", "?g", "?q"),
-        (("SpannerReady", "?a", "?g", "?q"),),
-        (("AtConf", "?a", "?q"), ("Holding", "?a", "spanner", "?g")),
-    ),
-}
-_ROUTE_PARTS = {
-    "arm-hold": (("?h",), (("Arm", "?h"),), (("BeamHeld", "?h"),)),
-    "weight-hold": (
-        ("?w", "?u"), (("Weight", "?w"), ("Spot", "?u")), (("WeightOn", "?w", "?u"),)
-    ),
-    "rest-hold": ((), (), ()),
-}
-
-
 class NutWorld(World):
     """Scene geometry plus chain builders for the nut twisting variants."""
+
+    # (params, static, fluent) fragments of the twist schemas.
+    STRATEGY_PARTS = {
+        "finger-twist": (
+            ("?a", "?q"),
+            (("NutReady", "?a", "?q"),),
+            (("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
+        ),
+        "spanner-twist": (
+            ("?a", "?g", "?q"),
+            (("SpannerReady", "?a", "?g", "?q"),),
+            (("AtConf", "?a", "?q"), ("Holding", "?a", "spanner", "?g")),
+        ),
+    }
+    ROUTE_PARTS = {
+        "arm-hold": (("?h",), (("Arm", "?h"),), (("BeamHeld", "?h"),)),
+        "weight-hold": (
+            ("?w", "?u"),
+            (("Weight", "?w"), ("Spot", "?u")),
+            (("WeightOn", "?w", "?u"),),
+        ),
+        "rest-hold": ((), (), ()),
+    }
 
     def __init__(self, cfg: dict, op: dict):
         super().__init__(cfg, op)
         cx, cy = cfg["beam_center_xy"]
         self.nut_top = np.array([cx, cy, cfg["nut_top_height"]])
+
+    def strategy_available(self, strategy: str) -> bool:
+        """Whether the scene has what ``strategy`` needs (the spanner)."""
+        return strategy != "spanner-twist" or bool(self.cfg["spanner"])
 
     def route_available(self, route: str) -> bool:
         """Whether the scene has what ``route`` needs (second arm, weights)."""
@@ -144,9 +147,11 @@ class NutWorld(World):
             xy = self.cfg["weight_xy"][obj]
         return Transform(np.eye(3), np.array([xy[0], xy[1], 0.0]))
 
-    def object_grasp(self, obj: str):
-        key = "spanner_grasp_height" if obj == "spanner" else "weight_grasp_height"
-        return pinch_grasp(obj, self.cfg[key])
+    def carried(self, obj: str):
+        cfg = self.cfg
+        if obj == "spanner":
+            return cfg["spanner_mass"], "hand-spanner", cfg["spanner_grasp_height"]
+        return cfg["weights"][obj], "hand-weight", cfg["weight_grasp_height"]
 
     def weight_place_target(self, spot: float) -> Transform:
         cx, cy = self.cfg["beam_center_xy"]
@@ -223,20 +228,19 @@ class NutWorld(World):
         chain = ForcefulKinematicChain("nut", ((patch, t),), (extra,))
         return chain, self.nut_wrench()
 
-    def grasp_hold_chain(self, obj: str, arm_name: str, q):
-        cfg = self.cfg
-        if obj == "spanner":
-            return self.pinch_carry_chain(
-                cfg["spanner_mass"], self.mu("hand-spanner"),
-                cfg["spanner_grasp_height"], arm_name, q,
-            )
-        return self.carry_chain(cfg["weights"][obj], arm_name, q)
+    def hand_chain(self, strategy: str, b):
+        return self.twist_chain(strategy, b["?a"], b["?q"].payload)
+
+    def fixture_for(self, route: str, b):
+        if route == "weight-hold":
+            load = (self.cfg["weights"][b["?w"]], b["?u"].payload)
+            return self.fixture_chain(route, load)
+        return self.fixture_chain(route)
 
     def carry_chain(self, mass: float, arm_name: str, q):
         """Pinch-carry of a dead weight of the given mass."""
         return self.pinch_carry_chain(
-            mass, self.mu("hand-weight"), self.cfg["weight_grasp_height"],
-            arm_name, q,
+            mass, "hand-weight", self.cfg["weight_grasp_height"], arm_name, q
         )
 
 
@@ -251,7 +255,6 @@ def build_problem(
     disable=(),
 ):
     cfg = world.cfg
-    disable = set(disable)
     registry = ValueRegistry()
 
     statics, init = world.arm_facts(registry)
@@ -275,7 +278,7 @@ def build_problem(
 
     arm = (("Arm", "?a"),)
     streams = [
-        *grasp_streams(world, world.object_grasp),
+        *grasp_streams(world),
         reach_stream(
             world, "reach-nut", arm, ("NutReady", "?a"),
             lambda b: world.nut_twist_target(),
@@ -292,7 +295,7 @@ def build_problem(
         ),
         connect_stream(),
     ]
-    if cfg["spanner"] and "spanner-twist" not in disable:
+    if "spanner-twist" in world.offered(disable)[0]:
         streams.append(
             reach_stream(
                 world, "reach-spanner-drive", arm + (("Grasp", "spanner", "?g"),),
@@ -305,20 +308,6 @@ def build_problem(
 
     def price(chain, w):
         return chain_cost(chain, w, spec, seed)
-
-    def fixture(route):
-        if route == "weight-hold":
-            return lambda b: world.fixture_chain(
-                route, (cfg["weights"][b["?w"]], b["?u"].payload)
-            )
-        return lambda b: world.fixture_chain(route)
-
-    def twist_cost(strategy, route):
-        return twist_cost_fn(
-            price,
-            lambda b: world.twist_chain(strategy, b["?a"], b["?q"].payload),
-            fixture(route),
-        )
 
     # ---- schemas ----------------------------------------------------------
 
@@ -340,18 +329,8 @@ def build_problem(
             delete=(("HandEmpty", "?a"),),
         ),
     ]
-    strategies = {
-        s: _STRATEGY_PARTS[s]
-        for s in STRATEGIES
-        if s not in disable and (s != "spanner-twist" or cfg["spanner"])
-    }
-    routes = {
-        r: _ROUTE_PARTS[r]
-        for r in ROUTES
-        if r not in disable and world.route_available(r)
-    }
     twists, twist_names = twist_schemas(
-        "twist-nut", ("NutLoosened",), strategies, routes, twist_cost
+        world, "twist-nut", ("NutLoosened",), disable, price
     )
     problem = Problem(
         statics, init, [("NutLoosened",)], schemas + twists, streams, registry

@@ -3,12 +3,15 @@
 A ``World`` owns the scene configuration, the arms with their base
 placements, and the friction table, and solves IK for world-frame hand
 targets.  Both domains are one construction on top of it: a twist
-action variant for every hand strategy and fixture route, priced by a
-hand-side chain and a fixture-side chain, plus the grasp, reach, move and
-pick plumbing that brings a hand to the work.  What the domains share lives
-here: grasps and grasp targets, the arm link and the pinch-carry chain,
-the per-arm initial facts, the common streams and schemas, the
-twist-schema generator, and the plan summary.
+action variant for every hand strategy and fixture route the scene
+offers, priced by a hand-side chain and a fixture-side chain, plus the
+grasp, reach, move and pick plumbing that brings a hand to the work.
+``World`` makes the decisions the domains share: which variants a stage
+offers, how a variant is priced, and how a carried object is grasped and
+loads the hand.  A domain's world supplies only the facts behind them.
+Also here: grasp targets, the arm link, the per-arm initial facts, the
+common streams and schemas, the twist-schema generator, and the plan
+summary.
 
 Contact frame conventions used by the joint builders:
 
@@ -45,13 +48,11 @@ __all__ = [
     "pad_frame",
     "pad_grasp_joint",
     "beam_corner_forces",
-    "pinch_grasp",
     "grasp_target",
     "reach_stream",
     "grasp_streams",
     "connect_stream",
     "common_schemas",
-    "twist_cost_fn",
     "twist_schemas",
     "plan_summary",
 ]
@@ -142,13 +143,6 @@ class GraspSpec:
         return {"offset": self.offset.to_dict(), "label": self.label}
 
 
-def pinch_grasp(obj: str, height: float) -> GraspSpec:
-    """Top-down pinch of ``obj`` at ``height`` above its origin."""
-    return GraspSpec(
-        Transform(tool_down_rotation(), np.array([0.0, 0.0, height])), f"pinch-{obj}"
-    )
-
-
 def grasp_target(pose: Transform, grasp: GraspSpec) -> Transform:
     """World hand pose for ``grasp`` on an object at ``pose``."""
     return Transform(
@@ -165,12 +159,18 @@ class World:
     friction table, grip force and hand pads alike.  Every arm is a
     ``default_arm`` whose base sits on the floor, axis-aligned with the
     world, at its ``arm_bases`` position.
+
+    A domain's world supplies the twist schemas' ``(params, static,
+    fluent)`` fragments as ``STRATEGY_PARTS`` and ``ROUTE_PARTS`` (in
+    ``STRATEGIES``/``ROUTES`` order), ``strategy_available`` and
+    ``route_available``, a ground twist's two ``(chain, wrench)`` pairs as
+    ``hand_chain`` and ``fixture_for``, and ``carried(obj)``, a graspable
+    object's (mass, friction pair, grasp height).
     """
 
     def __init__(self, cfg: dict, op: dict):
         self.cfg = cfg
         self.op = op
-        self.friction = dict(cfg["friction"])
         self.arms = {}
         self.arm_bases = {}
         for name in cfg["arms"]:
@@ -179,9 +179,17 @@ class World:
             self.arm_bases[name] = Transform(np.eye(3), np.array([x, y, 0.0]))
 
     def mu(self, pair: str) -> float:
-        if pair not in self.friction:
-            raise KeyError(f"no friction entry for {pair}")
-        return float(self.friction[pair])
+        return float(self.cfg["friction"][pair])
+
+    def offered(self, disable):
+        """Strategies and routes not in ``disable`` whose needs the scene
+        meets, in ``STRATEGIES``/``ROUTES`` order."""
+        return (
+            [s for s in self.STRATEGY_PARTS
+             if s not in disable and self.strategy_available(s)],
+            [r for r in self.ROUTE_PARTS
+             if r not in disable and self.route_available(r)],
+        )
 
     def reach(self, arm_name: str, world_target: Transform):
         """IK in the arm's base frame for a world-frame hand target."""
@@ -208,13 +216,13 @@ class World:
         t = Transform(np.eye(3), -np.asarray(app_to_ee_world, dtype=float))
         return joint, t
 
-    def pinch_carry_chain(self, mass, mu, grasp_z, arm_name, q):
+    def pinch_carry_chain(self, mass, pair, grasp_z, arm_name, q):
         """Carrying an object in the pinch grasp, loaded by its own weight.
 
         The object's center of mass sits halfway up to the grasp height.
         """
         pads, preload = pad_grasp_joint(
-            mu, self.cfg["hand_pad_half_extents"], self.cfg["grip_force"],
+            self.mu(pair), self.cfg["hand_pad_half_extents"], self.cfg["grip_force"],
             contact_frame="pads",
         )
         to_pads = (0.0, 0.0, grasp_z / 2.0)
@@ -225,6 +233,15 @@ class World:
         chain = ForcefulKinematicChain("obj", joints, (preload, None))
         w = Wrench([0.0, 0.0, -mass * GRAVITY], [0.0, 0.0, 0.0], frame="obj")
         return chain, w
+
+    def object_grasp(self, obj: str) -> GraspSpec:
+        """Top-down pinch of ``obj`` at its grasp height above its origin."""
+        offset = np.array([0.0, 0.0, self.carried(obj)[2]])
+        return GraspSpec(Transform(tool_down_rotation(), offset), f"pinch-{obj}")
+
+    def grasp_hold_chain(self, obj: str, arm_name: str, q):
+        """Carrying ``obj`` in the pinch grasp, loaded by its own weight."""
+        return self.pinch_carry_chain(*self.carried(obj), arm_name, q)
 
 
 # ---- streams ---------------------------------------------------------------
@@ -246,11 +263,11 @@ def reach_stream(world: World, name: str, domain: tuple, fact: tuple, target) ->
     )
 
 
-def grasp_streams(world: World, object_grasp) -> list:
+def grasp_streams(world: World) -> list:
     """``grasp-for`` (one grasp per graspable object) and ``reach-grasp``."""
 
     def sample_grasp(binding):
-        return [(object_grasp(binding["?o"]),)]
+        return [(world.object_grasp(binding["?o"]),)]
 
     return [
         Stream(
@@ -323,36 +340,33 @@ def common_schemas(world: World, price) -> list:
     ]
 
 
-def twist_cost_fn(price, hand, fixture):
-    """Cost of one twist variant: its hand chain's plus its fixture chain's.
+def twist_schemas(world: World, prefix: str, goal: tuple, disable, price):
+    """One twist schema per offered strategy and route, ``{prefix}--{s}--{r}``.
 
-    ``hand(binding)`` and ``fixture(binding)`` build ``(chain, wrench)``
-    pairs and ``price(chain, wrench)`` prices one; the fixture chain is not
-    priced once the hand chain fails for sure.
+    A schema joins its strategy's ``world.STRATEGY_PARTS`` fragments with
+    its route's ``world.ROUTE_PARTS`` and adds ``goal``.  A route that
+    binds a holding arm ``?h`` keeps it apart from the twisting arm ``?a``.
+    A variant costs ``price(chain, wrench)`` of its hand chain plus that of
+    its fixture chain; the fixture chain is not priced once the hand chain
+    fails for sure.  Returns the schemas and ``twist_names``, which maps
+    each schema name to (strategy, route).
     """
 
-    def fn(binding):
-        cost = price(*hand(binding))
-        if math.isinf(cost):
-            return cost
-        return cost + price(*fixture(binding))
+    def variant_cost(strategy, route):
+        def cost(binding):
+            hand = price(*world.hand_chain(strategy, binding))
+            if math.isinf(hand):
+                return hand
+            return hand + price(*world.fixture_for(route, binding))
 
-    return fn
+        return cost
 
-
-def twist_schemas(prefix: str, goal: tuple, strategies: dict, routes: dict, cost_fn):
-    """One twist schema per strategy and route, ``{prefix}--{strategy}--{route}``.
-
-    ``strategies`` and ``routes`` map names to ``(params, static, fluent)``
-    fragments, in schema order; a schema joins its strategy's fragments
-    with its route's and adds ``goal``.  A route that binds a holding arm
-    ``?h`` keeps it apart from the twisting arm ``?a``.  ``cost_fn(strategy,
-    route)`` returns the variant's cost function.  Returns the schemas and
-    ``twist_names``, which maps each schema name to (strategy, route).
-    """
+    strategies, routes = world.offered(disable)
     schemas, twist_names = [], {}
-    for strategy, (s_params, s_static, s_fluent) in strategies.items():
-        for route, (r_params, r_static, r_fluent) in routes.items():
+    for strategy in strategies:
+        s_params, s_static, s_fluent = world.STRATEGY_PARTS[strategy]
+        for route in routes:
+            r_params, r_static, r_fluent = world.ROUTE_PARTS[route]
             name = f"{prefix}--{strategy}--{route}"
             twist_names[name] = (strategy, route)
             schemas.append(
@@ -364,7 +378,7 @@ def twist_schemas(prefix: str, goal: tuple, strategies: dict, routes: dict, cost
                     add=(goal,),
                     delete=(),
                     neq=(("?a", "?h"),) if "?h" in r_params else (),
-                    cost_fn=cost_fn(strategy, route),
+                    cost_fn=variant_cost(strategy, route),
                 )
             )
     return schemas, twist_names

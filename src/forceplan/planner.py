@@ -321,7 +321,7 @@ def _invoke_streams(problem, static_db, static_facts, invoked):
     return progressed
 
 
-def _diagnose(problem, static_db, grounded):
+def _diagnose(problem, static_db, grounded, cap=None):
     notes = []
     for schema in problem.schemas:
         for pat in schema.static_pre:
@@ -334,6 +334,8 @@ def _diagnose(problem, static_db, grounded):
     for g in problem.goal:
         if g not in achievable:
             notes.append(f"goal {_pretty(g)} is not added by any grounded action")
+    if cap is not None:
+        notes.append(f"search stopped at max_expansions ({cap})")
     return "; ".join(notes) if notes else "search exhausted the reachable states"
 
 
@@ -366,9 +368,10 @@ def solve(
         if level >= max_levels or not _invoke_streams(
             problem, static_db, static_facts, invoked
         ):
+            cap = max_expansions if expansions >= max_expansions else None
             return SolveResult(
                 None, math.inf, level, total_expansions,
-                _diagnose(problem, static_db, grounded),
+                _diagnose(problem, static_db, grounded, cap),
             )
         level += 1
 

@@ -267,7 +267,11 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path} is not UTF-8 text: {err}") from err
+    return parse_scenario(text)
 
 
 def _apply_override(sections: dict, dotted: str, value):

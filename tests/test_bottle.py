@@ -145,6 +145,18 @@ class TestCarryChain:
         assert not chain_stable(chain, w).stable
 
 
+class TestOffered:
+    def test_default_scene_offers_every_strategy_and_route(self):
+        assert make_world().offered(()) == (list(bottle.STRATEGIES), list(bottle.ROUTES))
+
+    def test_missing_scene_pieces_and_disable_remove_names(self):
+        world = make_world(tool=False, arms=["arm0"], mat=False)
+        assert world.offered(("palm-press",)) == (
+            ["wrap-grip", "fingertip-press"],
+            ["table-friction", "vise-hold"],
+        )
+
+
 class TestPlanning:
     def test_default_scene_four_step_twist(self):
         world = make_world()

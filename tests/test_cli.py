@@ -170,6 +170,27 @@ class TestArguments:
         assert reported in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, reported",
+        [
+            (["solve", "{dir}"], "Is a directory"),
+            (["solve", "{stiff}", "--out", "{dir}"], "Is a directory"),
+            (["ablate", "{stiff}", "--out", "{dir}"], "Is a directory"),
+            (["solve", "{latin1}"], "is not UTF-8 text"),
+        ],
+        ids=["solve-directory", "solve-out-directory", "ablate-out-directory",
+             "not-utf-8"],
+    )
+    def test_file_errors_exit_1(self, tmp_path, capsys, argv, reported):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"domain": "nut-fastening"} // caf\xe9'.encode("latin-1"))
+        paths = {"dir": tmp_path, "stiff": SCENARIOS / "nut_stiff.json", "latin1": latin1}
+        assert main([a.format(**paths) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert reported in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_closed_stdout_pipe_exits_1_quietly(self, unbuffered):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -264,6 +285,40 @@ class TestRobustness:
         out = tmp_path / "rob.csv"
         assert main(["robustness", str(SCENARIOS / scenario), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "domain, scene, code, shown",
+        [
+            ("bottle-cap", '{"arms": []}', 1, "'scene.arms'"),
+            ("nut-fastening", '{"arms": []}', 1, "'scene.arms'"),
+            ("nut-fastening", '{"weight_spots": []}', 1, "'scene.weight_spots'"),
+            (
+                "bottle-cap", '{"bottle_xy": [3.0, 3.0]}', 0,
+                ["table-friction", "mat-friction", "arm-hold", "vise-hold"],
+            ),
+            ("nut-fastening", '{"beam_center_xy": [3.0, 3.0]}', 0, ["weight-hold"]),
+        ],
+        ids=["bottle-no-arms", "nut-no-arms", "nut-no-spots", "bottle-unreachable",
+             "nut-unreachable"],
+    )
+    def test_scenes_without_a_usable_arm_or_spot(
+        self, tmp_path, capsys, domain, scene, code, shown
+    ):
+        # A method whose hand target the arm cannot reach is left out; no
+        # arm at all, or no weight spot to sweep, is a scenario error.
+        bad = tmp_path / "scene.json"
+        bad.write_text(f'{{"domain": "{domain}", "scene": {scene}}}')
+        out = tmp_path / "rob.csv"
+        argv = ["robustness", str(bad), "--samples", "10", "--out", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert shown in err
+            assert not out.exists()
+        else:
+            methods = list(dict.fromkeys(r["method"] for r in read_csv(out)))
+            assert methods == shown
 
     def test_bad_sweep_spec_exits_1(self, capsys):
         scenario = str(SCENARIOS / "nut_default.json")

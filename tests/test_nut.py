@@ -108,6 +108,15 @@ class TestCarrying:
         assert not margins["w3"].stable
 
 
+class TestOffered:
+    def test_default_scene_offers_every_strategy_and_route(self):
+        assert make_world().offered(()) == (list(nut.STRATEGIES), list(nut.ROUTES))
+
+    def test_missing_scene_pieces_and_disable_remove_names(self):
+        world = make_world(spanner=False, arms=["arm0"])
+        assert world.offered(("rest-hold",)) == (["finger-twist"], ["weight-hold"])
+
+
 class TestPlanning:
     def test_two_arms_pin_the_slat_and_twist(self):
         world = make_world()

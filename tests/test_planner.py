@@ -93,6 +93,13 @@ class TestSearch:
         assert result.cost == math.inf
         assert "At" in result.diagnostic
 
+    def test_search_cut_by_expansion_budget_says_so(self):
+        edges = [("a", "b"), ("b", "c")]
+        result = solve(nav_problem(edges, "a", "c"), max_expansions=1)
+        assert not result.solved
+        assert result.expansions == 1
+        assert result.diagnostic == "search stopped at max_expansions (1)"
+
     def test_random_graphs_match_reference(self):
         for trial in range(6):
             rng = np.random.default_rng(trial)
