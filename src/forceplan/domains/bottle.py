@@ -293,13 +293,8 @@ def build_problem(
     # ---- streams ----------------------------------------------------------
 
     def sample_placement(binding):
-        surface = binding["?s"]
-        if surface == "mat":
-            xy = cfg["mat_xy"]
-        elif surface == "vise":
-            xy = cfg["vise_xy"]
-        else:
-            return []
+        # Only the mat and the vise are ever ``Placeable``.
+        xy = cfg[binding["?s"] + "_xy"]
         return [(Transform(np.eye(3), np.array([xy[0], xy[1], 0.0])),)]
 
     def sample_force(binding):

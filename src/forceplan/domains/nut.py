@@ -117,12 +117,8 @@ class NutWorld(World):
         return strategy != "spanner-twist" or bool(self.cfg["spanner"])
 
     def route_available(self, route: str) -> bool:
-        """Whether the scene has what ``route`` needs (second arm, weights)."""
-        if route == "arm-hold":
-            return len(self.cfg["arms"]) >= 2
-        if route == "weight-hold":
-            return bool(self.cfg["weights"])
-        return True
+        """Whether the scene has what ``route`` needs (a second arm)."""
+        return route != "arm-hold" or len(self.cfg["arms"]) >= 2
 
     # ---- targets ----------------------------------------------------------
 

@@ -17,9 +17,11 @@ small per-step constant, which breaks cost ties toward shorter plans.
 
 Each stream runs exactly once per input binding and returns everything
 it will ever produce for it; a stream is a deterministic function of its
-binding.  Facts, ground actions and stream calls are keyed by their
-arguments themselves, and a ``Value`` compares by identity.  Values are
-numbered in creation order and search breaks remaining ties by heap
+binding.  Each fact is stored once, and each ground action is built and
+priced once, at the first level that grounds it; actions priced infinite
+are never searched.  Facts, ground actions and stream calls are keyed by
+their arguments themselves, and a ``Value`` compares by identity.  Values
+are numbered in creation order and search breaks remaining ties by heap
 insertion order, so two runs produce identical plans and identical
 serialized output.
 """
@@ -116,7 +118,10 @@ class ActionSchema:
     cost_fn: object = None
 
     def __post_init__(self):
-        bound = set(self.params) | set(_collect_vars(self.static_pre))
+        bound = set(_collect_vars(self.static_pre))
+        missing = [p for p in self.params if p not in bound]
+        if missing:
+            raise ValueError(f"{self.name}: params {missing} not bound by static preconditions")
         for group in (self.fluent_pre, self.add, self.delete):
             for var in _collect_vars(group):
                 if var not in bound:
@@ -128,7 +133,10 @@ class ActionSchema:
 
 @dataclass(frozen=True)
 class Stream:
-    """Value sampler.  ``sample(binding)`` returns every output tuple at once."""
+    """Value sampler.  ``sample(binding)`` returns every output tuple at once.
+
+    ``domain_facts`` bind exactly the ``inputs``.
+    """
 
     name: str
     inputs: tuple
@@ -138,10 +146,9 @@ class Stream:
     sample: object
 
     def __post_init__(self):
+        if set(_collect_vars(self.domain_facts)) != set(self.inputs):
+            raise ValueError(f"{self.name}: domain facts must bind exactly the inputs")
         bound = set(self.inputs) | set(self.outputs)
-        for var in _collect_vars(self.domain_facts):
-            if var not in set(self.inputs):
-                raise ValueError(f"{self.name}: domain over unknown input {var}")
         for var in _collect_vars(self.certified):
             if var not in bound:
                 raise ValueError(f"{self.name}: certifies unknown variable {var}")
@@ -210,35 +217,30 @@ def _match(pattern, fact, binding):
     return b if b is not binding else dict(binding)
 
 
-def _bindings(static_db, patterns, binding):
+def _bindings(facts, patterns, binding):
     if not patterns:
         yield binding
         return
     first = patterns[0]
-    for fact in static_db.get(first[0], ()):
+    for fact in facts.get(first[0], ()):
         b = _match(first, fact, binding)
         if b is not None:
-            yield from _bindings(static_db, patterns[1:], b)
+            yield from _bindings(facts, patterns[1:], b)
 
 
-def _ground_all(schemas, static_db, cost_cache):
-    grounded = []
-    seen = set()
+def _ground_all(schemas, facts, table):
+    """Finite-cost ground actions in first-binding order; ``table`` builds each once."""
+    grounded = {}
     for schema in schemas:
-        for b in _bindings(static_db, schema.static_pre, {}):
-            if any(p not in b for p in schema.params):
-                missing = [p for p in schema.params if p not in b]
-                raise ValueError(f"{schema.name}: params {missing} not bound by static preconditions")
+        for b in _bindings(facts, schema.static_pre, {}):
             if any(b[x] == b[y] for x, y in schema.neq):
                 continue
             key = (schema.name, tuple(b[p] for p in schema.params))
-            if key in seen:
-                continue
-            seen.add(key)
-            if key not in cost_cache:
-                cost_cache[key] = 0.0 if schema.cost_fn is None else float(schema.cost_fn(b))
-            grounded.append(GroundAction(schema, b, cost_cache[key]))
-    return grounded
+            if key not in table:
+                cost = 0.0 if schema.cost_fn is None else float(schema.cost_fn(b))
+                table[key] = GroundAction(schema, b, cost)
+            grounded[key] = table[key]
+    return [ga for ga in grounded.values() if not math.isinf(ga.cost)]
 
 
 def _search(grounded, init, goal, max_expansions):
@@ -268,8 +270,6 @@ def _search(grounded, init, goal, max_expansions):
         if expansions >= max_expansions:
             break
         for action in grounded:
-            if math.isinf(action.cost):
-                continue
             if not action.fluent_pre <= state:
                 continue
             nxt = frozenset((state - action.delete) | action.add)
@@ -282,50 +282,40 @@ def _search(grounded, init, goal, max_expansions):
     return None, math.inf, expansions
 
 
-def _add_fact(static_db, static_facts, fact):
-    if fact in static_facts:
-        return False
-    static_facts.add(fact)
-    static_db.setdefault(fact[0], []).append(fact)
-    return True
-
-
-def _invoke_streams(problem, static_db, static_facts, invoked):
+def _invoke_streams(problem, facts, invoked):
     """Call each stream on its bindings not in ``invoked``; True if a fact is new."""
     progressed = False
     # Snapshot bindings for every stream first: facts certified during this
     # level only become visible to streams at the next level.
     snapshots = [
-        (stream, list(_bindings(static_db, stream.domain_facts, {})))
+        (stream, list(_bindings(facts, stream.domain_facts, {})))
         for stream in problem.streams
     ]
     for stream, pending in snapshots:
         for b in pending:
-            inputs = tuple(b.get(v) for v in stream.inputs)
-            if any(v is None for v in inputs):
-                raise ValueError(f"{stream.name}: inputs not bound by domain facts")
-            key = (stream.name, inputs)
+            key = (stream.name, tuple(b[v] for v in stream.inputs))
             if key in invoked:
                 continue
             invoked.add(key)
-            binding = {v: a for v, a in zip(stream.inputs, inputs)}
-            for result in stream.sample(binding):
+            for result in stream.sample(b):
                 if len(result) != len(stream.outputs):
                     raise ValueError(f"{stream.name}: result arity mismatch")
-                full = dict(binding)
+                full = dict(b)
                 for var, payload in zip(stream.outputs, result):
                     full[var] = problem.registry.add(var.lstrip("?"), payload)
                 for cert in stream.certified:
-                    if _add_fact(static_db, static_facts, _instantiate(cert, full)):
-                        progressed = True
+                    fact = _instantiate(cert, full)
+                    same = facts.setdefault(fact[0], {})
+                    progressed |= fact not in same
+                    same[fact] = None
     return progressed
 
 
-def _diagnose(problem, static_db, grounded, cap=None):
+def _diagnose(problem, facts, grounded, cap=None):
     notes = []
     for schema in problem.schemas:
         for pat in schema.static_pre:
-            if not any(_match(pat, f, {}) is not None for f in static_db.get(pat[0], ())):
+            if not any(_match(pat, f, {}) is not None for f in facts.get(pat[0], ())):
                 notes.append(f"{schema.name}: no fact matches {_pretty(pat)}")
                 break
     achievable = set(problem.init)
@@ -349,29 +339,27 @@ def solve(
     Stops at the first plan, at ``max_levels``, or when a level's streams
     certify no new fact; a failed result reports the last level searched.
     """
-    static_db: dict = {}
-    static_facts: set = set()
+    # predicate -> insertion-ordered dict of facts (values unused)
+    facts: dict = {}
     for f in problem.statics:
-        _add_fact(static_db, static_facts, f)
+        facts.setdefault(f[0], {})[f] = None
     invoked: set = set()
-    cost_cache: dict = {}
+    table: dict = {}
     total_expansions = 0
     level = 0
     while True:
-        grounded = _ground_all(problem.schemas, static_db, cost_cache)
+        grounded = _ground_all(problem.schemas, facts, table)
         plan, cost, expansions = _search(
             grounded, problem.init, problem.goal, max_expansions
         )
         total_expansions += expansions
         if plan is not None:
             return SolveResult(plan, cost, level, total_expansions)
-        if level >= max_levels or not _invoke_streams(
-            problem, static_db, static_facts, invoked
-        ):
+        if level >= max_levels or not _invoke_streams(problem, facts, invoked):
             cap = max_expansions if expansions >= max_expansions else None
             return SolveResult(
                 None, math.inf, level, total_expansions,
-                _diagnose(problem, static_db, grounded, cap),
+                _diagnose(problem, facts, grounded, cap),
             )
         level += 1
 

@@ -156,8 +156,13 @@ def ik(arm: SerialArm, target: Transform):
     Deterministic: the first start is the mid configuration and the other
     restarts draw from a fixed seed sequence.  Returns a configuration
     within position limits whose pose error norm is below ``_IK_TOL``, or
-    None when no restart converges.
+    None when no restart converges.  A target farther from the first joint
+    than the links can stretch is None at once: no restart can converge.
     """
+    reach = np.linalg.norm(arm.link_offsets[1:], axis=1).sum()
+    reach += np.linalg.norm(arm.ee_offset) + _IK_TOL
+    if np.linalg.norm(target.translation - arm.link_offsets[0]) > reach:
+        return None
     rng = np.random.default_rng(20_000)
     lo = arm.position_limits[:, 0]
     hi = arm.position_limits[:, 1]

@@ -8,7 +8,8 @@ type (an integer setting given a fraction, a list element of the wrong
 type), of the wrong length (a coordinate pair without exactly two
 numbers), repeated (an arm named twice) or out of range (a negative
 force, mass, radius, friction coefficient or noise scale, fewer than one
-sample, a weight spot off the slat).
+sample, a slat length that is not positive, a weight spot off the slat,
+a start surface other than the table, mat or vise).
 
 Ablation stages apply cumulatively: each stage's ``overrides`` (dotted
 paths into scene/operation/perturbation) and ``disable`` entries stack
@@ -173,6 +174,10 @@ def _check_sections(sections: dict):
     if sections["perturbation"]["samples"] < 1:
         raise ConfigError("'perturbation.samples' must be at least 1")
     scene = sections["scene"]
+    if scene.get("start_surface", "table") not in ("table", "mat", "vise"):
+        raise ConfigError("'scene.start_surface' must be one of table, mat, vise")
+    if scene.get("beam_length", 1.0) <= 0:
+        raise ConfigError("'scene.beam_length' must be positive")
     arms = scene.get("arms", [])
     for i, arm in enumerate(arms):
         if arm not in scene["arm_bases"]:

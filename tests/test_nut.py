@@ -156,6 +156,15 @@ class TestPlanning:
         actions = [ga.schema.name for ga in result.plan]
         assert "pick" in actions and "steady-grasp-beam" in actions
 
+    def test_goal_added_only_by_impossible_twists_is_named(self):
+        # On a frictionless table every one-arm route prices the twist
+        # infinite, and such actions never reach the search.
+        world = make_world(arms=["arm0"], friction={"beam-table": 0.0})
+        problem, _ = nut.build_problem(world, PerturbationSpec(), seed=0)
+        result = solve(problem)
+        assert not result.solved
+        assert result.diagnostic == "goal (NutLoosened) is not added by any grounded action"
+
     def test_stiff_nut_without_spanner_is_unsolvable(self):
         world = make_world(op={"torque": 0.9}, spanner=False)
         problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from forceplan.domains import DOMAINS
 from forceplan.planner import (
     STEP_COST,
     ActionSchema,
@@ -20,7 +23,10 @@ from forceplan.planner import (
     solve,
     validate_plan,
 )
+from forceplan.scenario import load_scenario, resolve_stage
 from forceplan.spatial import Transform
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def nav_problem(edges, start, goal, costs=None):
@@ -310,9 +316,65 @@ class TestValidation:
                 delete=(),
             )
 
+    def test_schema_rejects_param_unbound_by_static_preconditions(self):
+        with pytest.raises(ValueError, match="not bound by static preconditions"):
+            ActionSchema(
+                name="bad",
+                params=("?x", "?y"),
+                static_pre=(("Thing", "?x"),),
+                fluent_pre=(),
+                add=(),
+                delete=(),
+            )
+
     def test_stream_rejects_unknown_certified_variable(self):
         with pytest.raises(ValueError):
             Stream("s", (), (), ("?a",), (("Fact", "?b"),), lambda b: [])
+
+    def test_stream_rejects_input_unbound_by_domain_facts(self):
+        with pytest.raises(ValueError, match="bind exactly the inputs"):
+            Stream("s", ("?k",), (), ("?a",), (("Fact", "?a"),), lambda b: [])
+
+
+class TestShippedWork:
+    """The planner's work on two shipped scenarios, pinned like the plan digests.
+
+    Cost-function and stream calls, levels and expansions of one solve at
+    the scenario seed; a change that moves a count updates it here and says
+    why.  Re-validating the plan prices again and is not counted.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario, work",
+        [("bottle_default", (248, 49, 2, 21)), ("nut_stiff", (28, 266, 3, 1919))],
+    )
+    def test_cost_and_stream_calls_levels_and_expansions(self, scenario, work):
+        resolved = resolve_stage(load_scenario(str(SCENARIOS / f"{scenario}.json")), 0)
+        module = DOMAINS[resolved.domain]
+        world = module.build_world(resolved.scene, resolved.operation)
+        problem, _ = module.build_problem(
+            world, resolved.spec, seed=resolved.seed, disable=resolved.disable
+        )
+        calls = {"cost": 0, "stream": 0}
+
+        def counted(kind, fn):
+            def call(binding):
+                calls[kind] += 1
+                return fn(binding)
+            return call
+
+        schemas = [
+            s if s.cost_fn is None else replace(s, cost_fn=counted("cost", s.cost_fn))
+            for s in problem.schemas
+        ]
+        streams = [replace(st, sample=counted("stream", st.sample)) for st in problem.streams]
+        result = solve(
+            replace(problem, schemas=schemas, streams=streams),
+            max_levels=resolved.budget["max_levels"],
+            max_expansions=resolved.budget["max_expansions"],
+        )
+        assert result.solved
+        assert (calls["cost"], calls["stream"], result.levels, result.expansions) == work
 
 
 class TestSerialization:

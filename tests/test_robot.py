@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from forceplan import robot
 from forceplan.robot import (
     default_arm,
     fk,
@@ -157,6 +158,19 @@ class TestInverseKinematics:
         arm = planar_two_link_arm()
         target = Transform(np.eye(3), np.array([5.0, 0.0, 0.0]))
         assert ik(arm, target) is None
+
+    def test_target_beyond_reach_runs_no_restart(self, monkeypatch):
+        arm = default_arm()
+        calls = []
+        chain_frames = robot._chain_frames
+        monkeypatch.setattr(
+            robot, "_chain_frames", lambda *a: calls.append(a) or chain_frames(*a)
+        )
+        far = Transform(rot_y(np.pi), np.array([3.0, 0.0, 0.0]))
+        assert ik(arm, far) is None
+        assert calls == []
+        # The fully stretched arm sits exactly at the reach bound.
+        assert ik(arm, fk(arm, np.zeros(arm.dof))) is not None
 
     def test_deterministic(self):
         arm = default_arm()

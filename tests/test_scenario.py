@@ -169,6 +169,9 @@ class TestValues:
             ),
             ("bottle-cap", "budget.max_levels", -1, "budget.max_levels"),
             ("nut-fastening", "budget.max_expansions", -5, "budget.max_expansions"),
+            ("nut-fastening", "scene.beam_length", 0.0, "scene.beam_length"),
+            ("nut-fastening", "scene.beam_length", -1.0, "scene.beam_length"),
+            ("bottle-cap", "scene.start_surface", "tabel", "scene.start_surface"),
         ],
     )
     def test_bad_values_name_the_dotted_path(self, domain, dotted, value, reported):
