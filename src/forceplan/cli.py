@@ -31,18 +31,13 @@ from .robustness import cost_from_probability, success_probability
 from .scenario import ConfigError, load_scenario, resolve_stage
 
 
-def _build(resolved):
+def _solve_stage(resolved):
+    """Solve one stage; a plan that fails re-validation counts as no plan."""
     module = DOMAINS[resolved.domain]
     world = module.build_world(resolved.scene, resolved.operation)
     problem, names = module.build_problem(
         world, resolved.spec, seed=resolved.seed, disable=resolved.disable
     )
-    return module, world, problem, names
-
-
-def _solve_stage(resolved):
-    """Solve one stage; a plan that fails re-validation counts as no plan."""
-    _, _, problem, names = _build(resolved)
     start = time.perf_counter()
     result = solve(
         problem,
@@ -208,7 +203,8 @@ def cmd_robustness(args) -> int:
     _, resolved = _resolved(args)
     if not resolved.scene["arms"]:
         raise ConfigError("'scene.arms' must name an arm for the robustness sweep")
-    module, world, _, _ = _build(resolved)
+    module = DOMAINS[resolved.domain]
+    world = module.build_world(resolved.scene, resolved.operation)
     spec = replace(resolved.spec, samples=args.samples)
     grid = _parse_sweep(args.sweep) if args.sweep else None
     if module is bottle:

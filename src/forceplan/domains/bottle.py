@@ -89,8 +89,6 @@ OPERATION_DEFAULTS = {
 }
 
 HAND_STRATEGIES = ("wrap-grip", "palm-press", "fingertip-press")
-STRATEGIES = HAND_STRATEGIES + ("twist-tool",)
-ROUTES = ("table-friction", "mat-friction", "arm-hold", "vise-hold")
 
 
 # Strategy -> (friction pair, radius key) of its patch on the cap.  The
@@ -103,9 +101,8 @@ _CAP_PATCHES = {
     "twist-tool": ("tool-cap", "tool_tip_radius"),
 }
 
-# (params, static, fluent) fragments of the twist schemas.
+# (static, fluent) fragments of the twist schemas.
 _HAND_TWIST = (
-    ("?a", "?p", "?q", "?e"),
     (("TwistReady", "?a", "?p", "?q"), ("Force", "?e")),
     (("AtPose", "bottle", "?p"), ("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
 )
@@ -116,7 +113,6 @@ class BottleWorld(World):
 
     STRATEGY_PARTS = {s: _HAND_TWIST for s in HAND_STRATEGIES} | {
         "twist-tool": (
-            ("?a", "?p", "?g", "?q", "?e"),
             (("ToolTwistReady", "?a", "?p", "?g", "?q"), ("Force", "?e")),
             (
                 ("AtPose", "bottle", "?p"),
@@ -126,11 +122,11 @@ class BottleWorld(World):
         ),
     }
     ROUTE_PARTS = {
-        "table-friction": ((), (("Placement", "bottle", "?p", "table"),), ()),
-        "mat-friction": ((), (("Placement", "bottle", "?p", "mat"),), ()),
-        "arm-hold": (("?h",), (("Arm", "?h"),), (("SteadyHold", "bottle", "?h"),)),
+        "table-friction": ((("Placement", "bottle", "?p", "table"),), ()),
+        "mat-friction": ((("Placement", "bottle", "?p", "mat"),), ()),
+        "arm-hold": ((("Arm", "?h"),), (("SteadyHold", "bottle", "?h"),)),
         "vise-hold": (
-            (), (("Placement", "bottle", "?p", "vise"),), (("ViseSecured", "bottle"),)
+            (("Placement", "bottle", "?p", "vise"),), (("ViseSecured", "bottle"),)
         ),
     }
 
@@ -251,6 +247,10 @@ class BottleWorld(World):
         return self.fixture_chain(route, b["?e"].payload)
 
 
+STRATEGIES = tuple(BottleWorld.STRATEGY_PARTS)
+ROUTES = tuple(BottleWorld.ROUTE_PARTS)
+
+
 def build_world(scene_cfg: dict, op_cfg: dict) -> BottleWorld:
     return BottleWorld(scene_cfg, op_cfg)
 
@@ -303,7 +303,7 @@ def build_problem(
     at_bottle = (("Arm", "?a"), ("Pose", "bottle", "?p"))
     streams = [
         Stream(
-            "place-on", ("?o", "?s"), (("Placeable", "?o", "?s"),), ("?p",),
+            "place-on", (("Placeable", "?o", "?s"),),
             (("Placement", "?o", "?p", "?s"), ("Pose", "?o", "?p")),
             sample_placement,
         ),
@@ -317,9 +317,7 @@ def build_problem(
             lambda b: world.cap_removal_target(b["?p"].payload),
         ),
         connect_stream(),
-        Stream(
-            "press-levels", (), (), ("?e",), (("Force", "?e"),), sample_force,
-        ),
+        Stream("press-levels", (), (("Force", "?e"),), sample_force),
     ]
     if "twist-tool" in world.offered(disable)[0]:
         streams.append(
@@ -340,7 +338,6 @@ def build_problem(
     schemas = common_schemas(world, price) + [
         ActionSchema(
             name="place",
-            params=("?a", "?o", "?p", "?g", "?q"),
             static_pre=(("Kin", "?a", "?o", "?p", "?g", "?q"),),
             fluent_pre=(("Holding", "?a", "?o", "?g"), ("AtConf", "?a", "?q")),
             add=(("AtPose", "?o", "?p"), ("HandEmpty", "?a")),
@@ -348,7 +345,6 @@ def build_problem(
         ),
         ActionSchema(
             name="secure-vise",
-            params=("?p",),
             static_pre=(("Placement", "bottle", "?p", "vise"),),
             fluent_pre=(("AtPose", "bottle", "?p"),),
             add=(("ViseSecured", "bottle"),),
@@ -356,7 +352,6 @@ def build_problem(
         ),
         ActionSchema(
             name="steady-grasp",
-            params=("?a", "?p", "?g", "?q"),
             static_pre=(("Kin", "?a", "bottle", "?p", "?g", "?q"),),
             fluent_pre=(
                 ("AtPose", "bottle", "?p"),
@@ -368,7 +363,6 @@ def build_problem(
         ),
         ActionSchema(
             name="remove-cap",
-            params=("?a", "?p", "?q"),
             static_pre=(("RemovalReady", "?a", "?p", "?q"),),
             fluent_pre=(
                 ("CapLoose",),

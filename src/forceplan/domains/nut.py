@@ -77,34 +77,27 @@ SCENE_DEFAULTS = {
 
 OPERATION_DEFAULTS = {"torque": 0.15}
 
-STRATEGIES = ("finger-twist", "spanner-twist")
-ROUTES = ("arm-hold", "weight-hold", "rest-hold")
-
 
 class NutWorld(World):
     """Scene geometry plus chain builders for the nut twisting variants."""
 
-    # (params, static, fluent) fragments of the twist schemas.
+    # (static, fluent) fragments of the twist schemas.
     STRATEGY_PARTS = {
         "finger-twist": (
-            ("?a", "?q"),
             (("NutReady", "?a", "?q"),),
             (("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
         ),
         "spanner-twist": (
-            ("?a", "?g", "?q"),
             (("SpannerReady", "?a", "?g", "?q"),),
             (("AtConf", "?a", "?q"), ("Holding", "?a", "spanner", "?g")),
         ),
     }
     ROUTE_PARTS = {
-        "arm-hold": (("?h",), (("Arm", "?h"),), (("BeamHeld", "?h"),)),
+        "arm-hold": ((("Arm", "?h"),), (("BeamHeld", "?h"),)),
         "weight-hold": (
-            ("?w", "?u"),
-            (("Weight", "?w"), ("Spot", "?u")),
-            (("WeightOn", "?w", "?u"),),
+            (("Weight", "?w"), ("Spot", "?u")), (("WeightOn", "?w", "?u"),)
         ),
-        "rest-hold": ((), (), ()),
+        "rest-hold": ((), ()),
     }
 
     def __init__(self, cfg: dict, op: dict):
@@ -240,6 +233,10 @@ class NutWorld(World):
         )
 
 
+STRATEGIES = tuple(NutWorld.STRATEGY_PARTS)
+ROUTES = tuple(NutWorld.ROUTE_PARTS)
+
+
 def build_world(scene_cfg: dict, op_cfg: dict) -> NutWorld:
     return NutWorld(scene_cfg, op_cfg)
 
@@ -310,7 +307,6 @@ def build_problem(
     schemas = common_schemas(world, price) + [
         ActionSchema(
             name="place-weight",
-            params=("?a", "?w", "?u", "?g", "?q"),
             static_pre=(("SpotKin", "?a", "?w", "?u", "?g", "?q"),),
             fluent_pre=(("Holding", "?a", "?w", "?g"), ("AtConf", "?a", "?q")),
             add=(("WeightOn", "?w", "?u"), ("HandEmpty", "?a")),
@@ -318,7 +314,6 @@ def build_problem(
         ),
         ActionSchema(
             name="steady-grasp-beam",
-            params=("?a", "?q"),
             static_pre=(("BeamGripReady", "?a", "?q"),),
             fluent_pre=(("AtConf", "?a", "?q"), ("HandEmpty", "?a")),
             add=(("BeamHeld", "?a"),),

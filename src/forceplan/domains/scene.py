@@ -160,12 +160,12 @@ class World:
     ``default_arm`` whose base sits on the floor, axis-aligned with the
     world, at its ``arm_bases`` position.
 
-    A domain's world supplies the twist schemas' ``(params, static,
-    fluent)`` fragments as ``STRATEGY_PARTS`` and ``ROUTE_PARTS`` (in
-    ``STRATEGIES``/``ROUTES`` order), ``strategy_available`` and
-    ``route_available``, a ground twist's two ``(chain, wrench)`` pairs as
-    ``hand_chain`` and ``fixture_for``, and ``carried(obj)``, a graspable
-    object's (mass, friction pair, grasp height).
+    A domain's world supplies the twist schemas' ``(static, fluent)``
+    fragments as ``STRATEGY_PARTS`` and ``ROUTE_PARTS``, whose keys, in
+    order, are the domain's strategies and routes; ``strategy_available``
+    and ``route_available``; a ground twist's two ``(chain, wrench)`` pairs
+    as ``hand_chain`` and ``fixture_for``; and ``carried(obj)``, a
+    graspable object's (mass, friction pair, grasp height).
     """
 
     def __init__(self, cfg: dict, op: dict):
@@ -183,7 +183,7 @@ class World:
 
     def offered(self, disable):
         """Strategies and routes not in ``disable`` whose needs the scene
-        meets, in ``STRATEGIES``/``ROUTES`` order."""
+        meets, in parts-table order."""
         return (
             [s for s in self.STRATEGY_PARTS
              if s not in disable and self.strategy_available(s)],
@@ -250,7 +250,7 @@ class World:
 def reach_stream(world: World, name: str, domain: tuple, fact: tuple, target) -> Stream:
     """IK stream: a configuration ``?q`` of arm ``?a`` at ``target(binding)``.
 
-    The arguments of ``fact`` are the stream's inputs; it certifies
+    ``domain`` binds the arguments of ``fact``; the stream certifies
     ``fact + (?q,)`` and ``(Conf ?a ?q)``.
     """
 
@@ -258,9 +258,7 @@ def reach_stream(world: World, name: str, domain: tuple, fact: tuple, target) ->
         q = world.reach(binding["?a"], target(binding))
         return [] if q is None else [(q,)]
 
-    return Stream(
-        name, fact[1:], domain, ("?q",), (fact + ("?q",), ("Conf", "?a", "?q")), sample
-    )
+    return Stream(name, domain, (fact + ("?q",), ("Conf", "?a", "?q")), sample)
 
 
 def grasp_streams(world: World) -> list:
@@ -271,8 +269,7 @@ def grasp_streams(world: World) -> list:
 
     return [
         Stream(
-            "grasp-for", ("?o",), (("Graspable", "?o"),), ("?g",),
-            (("Grasp", "?o", "?g"),), sample_grasp,
+            "grasp-for", (("Graspable", "?o"),), (("Grasp", "?o", "?g"),), sample_grasp
         ),
         reach_stream(
             world, "reach-grasp",
@@ -292,9 +289,8 @@ def connect_stream() -> Stream:
         return [(np.stack([binding["?q1"].payload, binding["?q2"].payload]),)]
 
     return Stream(
-        "connect", ("?a", "?q1", "?q2"),
+        "connect",
         (("Conf", "?a", "?q1"), ("Conf", "?a", "?q2")),
-        ("?t",),
         (("Motion", "?a", "?q1", "?t", "?q2"),),
         sample_motion,
     )
@@ -318,7 +314,6 @@ def common_schemas(world: World, price) -> list:
     return [
         ActionSchema(
             name="move",
-            params=("?a", "?q1", "?t", "?q2"),
             static_pre=(("Motion", "?a", "?q1", "?t", "?q2"),),
             fluent_pre=(("AtConf", "?a", "?q1"),),
             add=(("AtConf", "?a", "?q2"),),
@@ -326,7 +321,6 @@ def common_schemas(world: World, price) -> list:
         ),
         ActionSchema(
             name="pick",
-            params=("?a", "?o", "?p", "?g", "?q"),
             static_pre=(("Kin", "?a", "?o", "?p", "?g", "?q"),),
             fluent_pre=(
                 ("AtPose", "?o", "?p"),
@@ -364,20 +358,19 @@ def twist_schemas(world: World, prefix: str, goal: tuple, disable, price):
     strategies, routes = world.offered(disable)
     schemas, twist_names = [], {}
     for strategy in strategies:
-        s_params, s_static, s_fluent = world.STRATEGY_PARTS[strategy]
+        s_static, s_fluent = world.STRATEGY_PARTS[strategy]
         for route in routes:
-            r_params, r_static, r_fluent = world.ROUTE_PARTS[route]
+            r_static, r_fluent = world.ROUTE_PARTS[route]
             name = f"{prefix}--{strategy}--{route}"
             twist_names[name] = (strategy, route)
             schemas.append(
                 ActionSchema(
                     name=name,
-                    params=s_params + r_params,
                     static_pre=s_static + r_static,
                     fluent_pre=s_fluent + r_fluent,
                     add=(goal,),
                     delete=(),
-                    neq=(("?a", "?h"),) if "?h" in r_params else (),
+                    neq=(("?a", "?h"),) if any("?h" in f for f in r_static) else (),
                     cost_fn=variant_cost(strategy, route),
                 )
             )

@@ -8,6 +8,11 @@ A problem couples three ingredients:
   and certify static facts about them,
 * an initial fluent state and a ground conjunctive goal.
 
+Each variable is stated once, in the facts that bind it: a schema's
+parameters are the variables of its static preconditions, a stream's
+inputs those of its domain facts, and its outputs the other variables of
+its certified facts, each in order of first appearance.
+
 Solving alternates grounding-plus-search with one round of stream
 invocations, so cheap plans that need few sampled values are found before
 the fact database grows.  A round that certifies no new fact ends the
@@ -19,11 +24,11 @@ Each stream runs exactly once per input binding and returns everything
 it will ever produce for it; a stream is a deterministic function of its
 binding.  Each fact is stored once, and each ground action is built and
 priced once, at the first level that grounds it; actions priced infinite
-are never searched.  Facts, ground actions and stream calls are keyed by
-their arguments themselves, and a ``Value`` compares by identity.  Values
-are numbered in creation order and search breaks remaining ties by heap
-insertion order, so two runs produce identical plans and identical
-serialized output.
+are never searched, and a goal that only they add is named as such.
+Facts, ground actions and stream calls are keyed by their arguments
+themselves, and a ``Value`` compares by identity.  Values are numbered in
+creation order and search breaks remaining ties by heap insertion order,
+so two runs produce identical plans and identical serialized output.
 """
 
 from __future__ import annotations
@@ -106,28 +111,25 @@ def _collect_vars(patterns):
 
 @dataclass(frozen=True)
 class ActionSchema:
-    """Lifted action.  ``params`` must all be bound by ``static_pre``."""
+    """Lifted action; ``params`` are the variables of ``static_pre``, in order."""
 
     name: str
-    params: tuple
     static_pre: tuple
     fluent_pre: tuple
     add: tuple
     delete: tuple
     neq: tuple = ()
     cost_fn: object = None
+    params: tuple = field(init=False)
 
     def __post_init__(self):
-        bound = set(_collect_vars(self.static_pre))
-        missing = [p for p in self.params if p not in bound]
-        if missing:
-            raise ValueError(f"{self.name}: params {missing} not bound by static preconditions")
-        for group in (self.fluent_pre, self.add, self.delete):
-            for var in _collect_vars(group):
-                if var not in bound:
-                    raise ValueError(f"{self.name}: unbound variable {var}")
+        params = tuple(_collect_vars(self.static_pre))
+        object.__setattr__(self, "params", params)
+        for var in _collect_vars(self.fluent_pre + self.add + self.delete):
+            if var not in params:
+                raise ValueError(f"{self.name}: unbound variable {var}")
         for a, b in self.neq:
-            if a not in bound or b not in bound:
+            if a not in params or b not in params:
                 raise ValueError(f"{self.name}: neq over unknown variables")
 
 
@@ -135,23 +137,22 @@ class ActionSchema:
 class Stream:
     """Value sampler.  ``sample(binding)`` returns every output tuple at once.
 
-    ``domain_facts`` bind exactly the ``inputs``.
+    ``inputs`` are the variables of ``domain_facts`` and ``outputs`` the
+    other variables of ``certified``, both in order of first appearance.
     """
 
     name: str
-    inputs: tuple
     domain_facts: tuple
-    outputs: tuple
     certified: tuple
     sample: object
+    inputs: tuple = field(init=False)
+    outputs: tuple = field(init=False)
 
     def __post_init__(self):
-        if set(_collect_vars(self.domain_facts)) != set(self.inputs):
-            raise ValueError(f"{self.name}: domain facts must bind exactly the inputs")
-        bound = set(self.inputs) | set(self.outputs)
-        for var in _collect_vars(self.certified):
-            if var not in bound:
-                raise ValueError(f"{self.name}: certifies unknown variable {var}")
+        inputs = tuple(_collect_vars(self.domain_facts))
+        object.__setattr__(self, "inputs", inputs)
+        outputs = tuple(v for v in _collect_vars(self.certified) if v not in inputs)
+        object.__setattr__(self, "outputs", outputs)
 
 
 @dataclass
@@ -311,7 +312,7 @@ def _invoke_streams(problem, facts, invoked):
     return progressed
 
 
-def _diagnose(problem, facts, grounded, cap=None):
+def _diagnose(problem, facts, table, cap=None):
     notes = []
     for schema in problem.schemas:
         for pat in schema.static_pre:
@@ -319,11 +320,17 @@ def _diagnose(problem, facts, grounded, cap=None):
                 notes.append(f"{schema.name}: no fact matches {_pretty(pat)}")
                 break
     achievable = set(problem.init)
-    for ga in grounded:
-        achievable |= ga.add
+    for ga in table.values():
+        if not math.isinf(ga.cost):
+            achievable |= ga.add
     for g in problem.goal:
-        if g not in achievable:
-            notes.append(f"goal {_pretty(g)} is not added by any grounded action")
+        if g in achievable:
+            continue
+        adders = sorted(repr(ga) for ga in table.values() if g in ga.add)
+        why = "is not added by any grounded action"
+        if adders:
+            why = f"is added only by {len(adders)} actions priced infinite, first {adders[0]}"
+        notes.append(f"goal {_pretty(g)} {why}")
     if cap is not None:
         notes.append(f"search stopped at max_expansions ({cap})")
     return "; ".join(notes) if notes else "search exhausted the reachable states"
@@ -359,7 +366,7 @@ def solve(
             cap = max_expansions if expansions >= max_expansions else None
             return SolveResult(
                 None, math.inf, level, total_expansions,
-                _diagnose(problem, facts, grounded, cap),
+                _diagnose(problem, facts, table, cap),
             )
         level += 1
 

@@ -9,12 +9,6 @@ Conventions used throughout the package:
   taken about the origin of the frame named by ``frame``.
 * Frames are plain string identifiers.  A wrench is re-expressed in
   another frame by ``transform_wrench`` under an explicit ``Transform``.
-
-Twists stack linear before angular velocity, ``(v, omega)``, with the
-linear velocity taken at the frame origin.  Under a change of frame the
-force is the free vector of a wrench while the angular velocity is the
-free vector of a twist; the two maps are adjoint to each other, which is
-what keeps the power pairing ``f . v + tau . omega`` frame invariant.
 """
 
 from __future__ import annotations
@@ -27,10 +21,7 @@ __all__ = [
     "Transform",
     "Wrench",
     "compose",
-    "invert",
     "transform_wrench",
-    "transform_twist",
-    "rot_x",
     "rot_y",
     "rot_z",
 ]
@@ -38,11 +29,6 @@ __all__ = [
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(3)
     return v.copy()
-
-
-def rot_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def rot_y(angle: float) -> np.ndarray:
@@ -81,9 +67,6 @@ class Transform:
     def identity() -> "Transform":
         return Transform()
 
-    def apply_point(self, p) -> np.ndarray:
-        return self.rotation @ _as_vec3(p) + self.translation
-
     def to_dict(self) -> dict:
         return {
             "rotation": [[float(v) for v in row] for row in self.rotation],
@@ -118,11 +101,6 @@ def compose(a: Transform, b: Transform) -> Transform:
     return Transform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
-def invert(t: Transform) -> Transform:
-    R = t.rotation.T
-    return Transform(R, -R @ t.translation)
-
-
 def transform_wrench(w: Wrench, t: Transform, frame: str = "") -> Wrench:
     """Re-express ``w`` under ``t`` mapping its frame into the target frame.
 
@@ -132,14 +110,3 @@ def transform_wrench(w: Wrench, t: Transform, frame: str = "") -> Wrench:
     tau = t.rotation @ w.torque + np.cross(t.translation, f)
     return Wrench(f, tau, frame)
 
-
-def transform_twist(linear, angular, t: Transform) -> tuple[np.ndarray, np.ndarray]:
-    """Re-express a twist ``(v, omega)`` under ``t``.
-
-    Here the angular part is the free vector and the linear velocity at the
-    target origin picks up the lever term: omega' = R omega,
-    v' = R v + t x (R omega).
-    """
-    omega = t.rotation @ _as_vec3(angular)
-    v = t.rotation @ _as_vec3(linear) + np.cross(t.translation, omega)
-    return v, omega

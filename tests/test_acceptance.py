@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 from scipy.spatial.transform import Rotation
 
 from forceplan import cli
+from forceplan.domains import nut
 from forceplan.planner import (
     STEP_COST,
     ActionSchema,
@@ -276,7 +277,10 @@ def test_robustness_curves_have_expected_shapes(tmp_path):
     # slat poorly and the heavy one cannot be carried.
     scenario = load_scenario(SCENARIOS / "nut_default.json")
     resolved = resolve_stage(scenario, 1)
-    _, world, problem, names = cli._build(resolved)
+    world = nut.build_world(resolved.scene, resolved.operation)
+    problem, _ = nut.build_problem(
+        world, resolved.spec, seed=resolved.seed, disable=resolved.disable
+    )
     result = solve(
         problem,
         max_levels=resolved.budget["max_levels"],
@@ -324,7 +328,6 @@ def toy_courier():
     }
     drive = ActionSchema(
         "drive",
-        ("?x", "?y"),
         static_pre=(("Road", "?x", "?y"),),
         fluent_pre=(("At", "?x"),),
         add=(("At", "?y"),),
@@ -349,18 +352,16 @@ def toy_courier():
 def toy_vault():
     take = ActionSchema(
         "take-key",
-        (),
         static_pre=(),
         fluent_pre=(("AgentIn", "anteroom"), ("KeyIn", "anteroom")),
         add=(("HasKey",),),
         delete=(("KeyIn", "anteroom"),),
     )
     unlock = ActionSchema(
-        "unlock", (), static_pre=(), fluent_pre=(("HasKey",),), add=(("Unlocked",),), delete=()
+        "unlock", static_pre=(), fluent_pre=(("HasKey",),), add=(("Unlocked",),), delete=()
     )
     smash = ActionSchema(
         "smash-lock",
-        (),
         static_pre=(),
         fluent_pre=(("AgentIn", "anteroom"),),
         add=(("Unlocked",),),
@@ -369,7 +370,6 @@ def toy_vault():
     )
     enter = ActionSchema(
         "enter",
-        (),
         static_pre=(),
         fluent_pre=(("Unlocked",), ("AgentIn", "anteroom")),
         add=(("AgentIn", "vault"),),
@@ -405,7 +405,6 @@ def toy_vault():
 def toy_sanding():
     coarse = ActionSchema(
         "sand-coarse",
-        (),
         static_pre=(),
         fluent_pre=(("Rough",),),
         add=(("Smooth",),),
@@ -414,7 +413,6 @@ def toy_sanding():
     )
     fetch = ActionSchema(
         "fetch-block",
-        (),
         static_pre=(),
         fluent_pre=(),
         add=(("BlockOut",),),
@@ -423,7 +421,6 @@ def toy_sanding():
     )
     fine = ActionSchema(
         "sand-fine",
-        (),
         static_pre=(),
         fluent_pre=(("Rough",), ("BlockOut",)),
         add=(("Smooth",),),

@@ -34,7 +34,6 @@ def nav_problem(edges, start, goal, costs=None):
     costs = costs or {}
     move = ActionSchema(
         name="move",
-        params=("?a", "?b"),
         static_pre=(("Adjacent", "?a", "?b"),),
         fluent_pre=(("At", "?a"),),
         add=(("At", "?b"),),
@@ -128,7 +127,6 @@ class TestSearch:
     def test_neq_blocks_matching_arguments(self):
         shuffle = ActionSchema(
             name="shuffle",
-            params=("?x", "?y"),
             static_pre=(("Slot", "?x"), ("Slot", "?y")),
             fluent_pre=(("On", "?x"),),
             add=(("On", "?y"), ("Moved",)),
@@ -147,9 +145,7 @@ def key_stream(payloads):
     """Certify (Key v) for each payload."""
     return Stream(
         name="gen-key",
-        inputs=(),
         domain_facts=(),
-        outputs=("?k",),
         certified=(("Key", "?k"),),
         sample=lambda binding: [(p,) for p in payloads],
     )
@@ -159,9 +155,7 @@ def cut_stream(sample=None):
     """Certify (Cut k c) for each key k, by default cutting its payload."""
     return Stream(
         name="cut-key",
-        inputs=("?k",),
         domain_facts=(("Key", "?k"),),
-        outputs=("?c",),
         certified=(("Cut", "?k", "?c"),),
         sample=sample or (lambda binding: [(binding["?k"].payload + "-cut",)]),
     )
@@ -169,7 +163,6 @@ def cut_stream(sample=None):
 
 OPEN_DOOR = ActionSchema(
     name="open-door",
-    params=("?k", "?c"),
     static_pre=(("Cut", "?k", "?c"),),
     fluent_pre=(),
     add=(("Open",),),
@@ -180,7 +173,6 @@ OPEN_DOOR = ActionSchema(
 def grab_problem(stream):
     grab = ActionSchema(
         name="grab",
-        params=("?k",),
         static_pre=(("Key", "?k"),),
         fluent_pre=(("Empty",),),
         add=(("Holding",),),
@@ -219,13 +211,12 @@ class TestStreams:
 
         stuck = ActionSchema(
             name="open-door",
-            params=("?k", "?c"),
             static_pre=(("Cut", "?k", "?c"), ("Master", "?k")),
             fluent_pre=(),
             add=(("Open",),),
             delete=(),
         )
-        generator = Stream("gen-key", (), (), ("?k",), (("Key", "?k"),), gen)
+        generator = Stream("gen-key", (), (("Key", "?k"),), gen)
         problem = Problem([], [], [("Open",)], [stuck], [generator, cut_stream(cut)])
         result = solve(problem, max_levels=8)
         assert not result.solved
@@ -260,7 +251,6 @@ class TestCosts:
 
         grab = ActionSchema(
             name="grab",
-            params=("?k",),
             static_pre=(("Key", "?k"),),
             fluent_pre=(("Empty",),),
             add=(("Holding",),),
@@ -309,31 +299,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ActionSchema(
                 name="bad",
-                params=("?x",),
                 static_pre=(("Thing", "?x"),),
                 fluent_pre=(),
                 add=(("At", "?y"),),
                 delete=(),
             )
 
-    def test_schema_rejects_param_unbound_by_static_preconditions(self):
-        with pytest.raises(ValueError, match="not bound by static preconditions"):
-            ActionSchema(
-                name="bad",
-                params=("?x", "?y"),
-                static_pre=(("Thing", "?x"),),
-                fluent_pre=(),
-                add=(),
-                delete=(),
-            )
 
-    def test_stream_rejects_unknown_certified_variable(self):
-        with pytest.raises(ValueError):
-            Stream("s", (), (), ("?a",), (("Fact", "?b"),), lambda b: [])
+class TestDeclarations:
+    def test_schema_params_are_static_variables_in_first_appearance_order(self):
+        schema = ActionSchema("s", (("B", "?y", "?x"), ("A", "?z", "?x")), (), (), ())
+        assert schema.params == ("?y", "?x", "?z")
 
-    def test_stream_rejects_input_unbound_by_domain_facts(self):
-        with pytest.raises(ValueError, match="bind exactly the inputs"):
-            Stream("s", ("?k",), (), ("?a",), (("Fact", "?a"),), lambda b: [])
+    def test_stream_inputs_and_outputs_come_from_its_facts(self):
+        stream = Stream(
+            "s", (("K", "?k"),), (("Cut", "?k", "?c"), ("Tag", "?c", "?t")), lambda b: []
+        )
+        assert stream.inputs == ("?k",)
+        assert stream.outputs == ("?c", "?t")
+        copy = replace(stream, sample=lambda b: [("c", "t")])
+        assert (copy.inputs, copy.outputs) == (("?k",), ("?c", "?t"))
 
 
 class TestShippedWork:
