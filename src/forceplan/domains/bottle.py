@@ -201,10 +201,9 @@ class BottleWorld(World):
             self.mu(pair), cfg[radius], normal, "cap", coupled_normal_force=coupled
         )
         joints = [(patch, Transform.identity())]
-        gravity = [None]
         ee_offset = (0.0, 0.0, 0.0)
         if strategy == "twist-tool":
-            pads, preload = pad_grasp_joint(
+            pads = pad_grasp_joint(
                 self.mu("hand-tool"),
                 cfg["tool_pad_half_extents"],
                 cfg["tool_grip_force"],
@@ -212,10 +211,8 @@ class BottleWorld(World):
             )
             ee_offset = (0.0, 0.0, cfg["tool_tip_below_pads"])
             joints.append((pads, pad_frame([1.0, 0.0, 0.0], ee_offset)))
-            gravity.append(preload)
         joints.append(self.arm_link(arm_name, q, ee_offset))
-        gravity.append(None)
-        chain = ForcefulKinematicChain("cap", tuple(joints), tuple(gravity))
+        chain = ForcefulKinematicChain("cap", tuple(joints))
         return chain, self.cap_wrench(extra)
 
     def fixture_chain(self, route: str, extra: float):

@@ -157,19 +157,16 @@ class NutWorld(World):
     def twist_chain(self, strategy: str, arm_name: str, q):
         cfg = self.cfg
         joints = []
-        gravity = []
         if strategy == "finger-twist":
             patch = CircularPatchJoint(
                 self.mu("hand-nut"), cfg["nut_radius"], cfg["grip_force"], "nut"
             )
             joints.append((patch, Transform.identity()))
-            gravity.append(None)
             ee_offset = (0.0, 0.0, 0.0)
         elif strategy == "spanner-twist":
             # Hex socket: form closed about the twist axis.
             joints.append((RigidJoint("socket"), Transform.identity()))
-            gravity.append(None)
-            pads, preload = pad_grasp_joint(
+            pads = pad_grasp_joint(
                 self.mu("hand-spanner"),
                 cfg["hand_pad_half_extents"],
                 cfg["spanner_grip_force"],
@@ -177,17 +174,19 @@ class NutWorld(World):
             )
             to_handle = (-cfg["spanner_handle_length"], 0.0, 0.0)
             joints.append((pads, pad_frame([0.0, 0.0, 1.0], to_handle)))
-            gravity.append(preload)
             ee_offset = to_handle
         else:
             raise KeyError(strategy)
         joints.append(self.arm_link(arm_name, q, ee_offset))
-        gravity.append(None)
-        chain = ForcefulKinematicChain("nut", tuple(joints), tuple(gravity))
+        chain = ForcefulKinematicChain("nut", tuple(joints))
         return chain, self.nut_wrench()
 
     def fixture_chain(self, route: str, load=None):
-        """Slat-side chain.  ``load`` is (mass, spot) for the weighted route."""
+        """Slat-side chain.  ``load`` is (mass, spot) for the weighted route.
+
+        The slat patch bears the weight of the slat and of its load as its
+        preload.
+        """
         cfg = self.cfg
         if route == "arm-hold":
             chain = ForcefulKinematicChain(
@@ -203,18 +202,16 @@ class NutWorld(World):
         corners, forces = beam_corner_forces(
             cfg["beam_length"], cfg["beam_width"], cfg["beam_mass"], mass, spot
         )
+        total = (cfg["beam_mass"] + mass) * GRAVITY
         patch = PolygonPatchJoint(
             mu=self.mu("beam-table"),
             corners=corners,
             corner_normal_forces=forces,
             contact_frame="beam_table",
+            preload=Wrench([0.0, 0.0, -total], [0.0, spot * mass * GRAVITY, 0.0]),
         )
         t = Transform(np.eye(3), np.array([0.0, 0.0, cfg["nut_top_height"]]))
-        total = (cfg["beam_mass"] + mass) * GRAVITY
-        extra = Wrench(
-            [0.0, 0.0, -total], [0.0, spot * mass * GRAVITY, 0.0], frame="beam_table"
-        )
-        chain = ForcefulKinematicChain("nut", ((patch, t),), (extra,))
+        chain = ForcefulKinematicChain("nut", ((patch, t),))
         return chain, self.nut_wrench()
 
     def hand_chain(self, strategy: str, b):

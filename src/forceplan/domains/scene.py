@@ -19,8 +19,8 @@ Contact frame conventions used by the joint builders:
   points up out of the surface, so pressing loads arrive as negative z
   force and twisting loads as z moment;
 * pad grasps (parallel-jaw fingers) use a frame whose z axis is the pad
-  normal; the squeeze preload enters as a constant side wrench pressing
-  along -z so the friction cone test sees the correct normal balance.
+  normal; the pad patch carries the squeeze as its preload, pressing along
+  -z, so the friction cone test sees the correct normal balance.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def pad_frame(normal_world, app_to_pad_world) -> Transform:
 
 
 def pad_grasp_joint(mu, half_extents, squeeze_force, contact_frame=""):
-    """Parallel-jaw grasp folded into one pad patch plus its preload wrench.
+    """Parallel-jaw grasp folded into one preloaded pad patch.
 
     Both fingers squeeze with ``squeeze_force``, so the preload pressing
     the object against the pad plane is twice that.
@@ -94,14 +94,13 @@ def pad_grasp_joint(mu, half_extents, squeeze_force, contact_frame=""):
         [[hx, hy, 0.0], [-hx, hy, 0.0], [-hx, -hy, 0.0], [hx, -hy, 0.0]]
     )
     per_corner = float(squeeze_force) / 2.0
-    joint = PolygonPatchJoint(
+    return PolygonPatchJoint(
         mu=mu,
         corners=corners,
         corner_normal_forces=[per_corner] * 4,
         contact_frame=contact_frame,
+        preload=Wrench([0.0, 0.0, -2.0 * float(squeeze_force)], [0.0, 0.0, 0.0]),
     )
-    preload = Wrench([0.0, 0.0, -2.0 * float(squeeze_force)], [0.0, 0.0, 0.0])
-    return joint, preload
 
 
 def beam_corner_forces(length, width, slat_mass, load_mass, load_center):
@@ -221,7 +220,7 @@ class World:
 
         The object's center of mass sits halfway up to the grasp height.
         """
-        pads, preload = pad_grasp_joint(
+        pads = pad_grasp_joint(
             self.mu(pair), self.cfg["hand_pad_half_extents"], self.cfg["grip_force"],
             contact_frame="pads",
         )
@@ -230,7 +229,7 @@ class World:
             (pads, pad_frame([1.0, 0.0, 0.0], to_pads)),
             self.arm_link(arm_name, q, to_pads),
         )
-        chain = ForcefulKinematicChain("obj", joints, (preload, None))
+        chain = ForcefulKinematicChain("obj", joints)
         w = Wrench([0.0, 0.0, -mass * GRAVITY], [0.0, 0.0, 0.0], frame="obj")
         return chain, w
 

@@ -1,4 +1,4 @@
-"""Serial arm kinematics and torque-limit checks.
+"""Serial arm kinematics.
 
 All arms here are revolute-only chains.  Joint ``i`` sits at a fixed
 translation ``link_offsets[i]`` from the previous joint frame and rotates
@@ -9,7 +9,8 @@ end-effector pose in the arm base frame.
 The geometric Jacobian maps joint rates to the end-effector twist in base
 axes with the linear rows first, so ``tau = J.T @ [f, tau_w]`` gives the
 joint torques needed to exert the wrench ``[f, tau_w]`` (expressed in base
-axes about the end-effector origin) on the environment.
+axes about the end-effector origin) on the environment;
+``stability.torque_stable`` checks them against the torque limits.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .spatial import Transform, Wrench
-from .stability import StabilityVerdict
+from .spatial import Transform
 
 __all__ = [
     "SerialArm",
     "fk",
     "jacobian",
-    "torque_stable",
     "ik",
     "default_arm",
     "planar_two_link_arm",
@@ -126,22 +125,6 @@ def jacobian(arm: SerialArm, q) -> np.ndarray:
     """Geometric Jacobian, linear rows stacked over angular rows (6 x n)."""
     origins, axes, _, p_ee = _chain_frames(arm, q)
     return _frames_jacobian(origins, axes, p_ee)
-
-
-def torque_stable(arm: SerialArm, q, w: Wrench) -> StabilityVerdict:
-    """Strict torque-limit check for exerting ``w`` at the end effector.
-
-    ``w`` must be expressed in base axes about the end-effector origin.
-    Margin is one minus the worst utilization ratio; the verdict's
-    ``failing_joint`` names the 0-based arm joint with that ratio when the
-    check fails.
-    """
-    tau = jacobian(arm, q).T @ w.as_array()
-    ratios = np.abs(tau) / arm.torque_limits
-    worst = int(np.argmax(ratios))
-    margin = 1.0 - float(ratios[worst])
-    stable = ratios[worst] < 1.0
-    return StabilityVerdict(stable, margin, None if stable else worst)
 
 
 def _pose_error(target: Transform, R: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ monotonicity of the underlying margins.
 
 Normal forces split into a coupled part, which tracks the perturbed applied
 normal force, and an uncoupled part (weight, grip preload) held at its
-nominal value.  Gravity side wrenches stay nominal as well.
+nominal value.  A polygon patch's preload stays nominal as well.
 
 ``perturbed_case`` builds one sample as a chain, and ``chain_stable`` of
 that chain is the sample's verdict: together they are the scalar oracle.
@@ -32,7 +32,7 @@ each suspect sample its verdict, or raises its error, first sample first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -120,20 +120,10 @@ def perturbed_case(
             scale = max(1.0 + spec.patch_rel * z_s, 0.0)
             centroid = joint.corners.mean(axis=0)
             corners = centroid + (joint.corners - centroid) * scale
-            joints.append(
-                (
-                    PolygonPatchJoint(
-                        mu, corners, joint.corner_normal_forces, joint.contact_frame
-                    ),
-                    t2,
-                )
-            )
+            joints.append((replace(joint, mu=mu, corners=corners), t2))
         else:
             joints.append((joint, t))
-    out = ForcefulKinematicChain(
-        chain.application_frame, tuple(joints), chain.gravity_wrenches
-    )
-    return out, w2
+    return ForcefulKinematicChain(chain.application_frame, tuple(joints)), w2
 
 
 def _draws(samples: range, width: int, seed: int) -> np.ndarray:
@@ -169,18 +159,17 @@ _PATCHES = (CircularPatchJoint, PolygonPatchJoint)
 def _loaded_joints(chain, spec, z, fz_fac, wrench, suspect):
     """Per joint: (joint, perturbed parameters, (samples, 6) transmitted wrench).
 
-    The wrench is the one ``chain_stable`` hands the joint, gravity or
-    preload included.  Column layout of ``z`` after the six wrench
-    columns: per patch joint, the two parameter draws and then the six
-    frame draws, as in ``perturbed_case``.  Arm and rigid joints keep
+    The wrench is the one the joint's test sees: the transmitted wrench
+    plus a polygon patch's preload.  Column layout of ``z`` after the six
+    wrench columns: per patch joint, the two parameter draws and then the
+    six frame draws, as in ``perturbed_case``.  Arm and rigid joints keep
     their nominal frame.  Samples that the scalar oracle may reject, or
     whose verdict the array arithmetic cannot vouch for, are marked in
     ``suspect``.
     """
-    gravity = chain.gravity_wrenches or (None,) * len(chain.joints)
     col = 6
-    for (joint, t), extra in zip(chain.joints, gravity):
-        rot, pos, params = t.rotation, t.translation, None
+    for joint, t in chain.joints:
+        rot, pos, params, extra = t.rotation, t.translation, None, None
         if isinstance(joint, _PATCHES):
             z_mu, z_p = z[:, col], z[:, col + 1]
             dp = 0.0 + spec.frame_translation * z[:, col + 2 : col + 5]
@@ -199,14 +188,13 @@ def _loaded_joints(chain, spec, z, fz_fac, wrench, suspect):
                 centroid = joint.corners.mean(axis=0)
                 corners = centroid + (joint.corners - centroid) * scale[:, None, None]
                 suspect |= np.max(np.abs(corners[:, :, 2]), axis=1) > 1e-9
-                params = (mu, corners)
+                params, extra = (mu, corners), joint.preload
         elif not isinstance(joint, (ArmJoint, RigidJoint)):
             suspect[:] = True
         f = np.matmul(rot, wrench[:, :3, None])[:, :, 0]
         tau = np.matmul(rot, wrench[:, 3:, None])[:, :, 0] + np.cross(pos, f)
         if extra is not None:
-            # Gravity wrenches are finite: a non-finite sum had a
-            # non-finite term.
+            # Preloads are finite: a non-finite sum had a non-finite term.
             f, tau = f + extra.force, tau + extra.torque
         loaded = np.concatenate([f, tau], axis=1)
         suspect |= ~np.isfinite(loaded).all(axis=1)

@@ -40,6 +40,10 @@ _TOP_KEYS = {
     "domain", "seed", "scene", "operation", "perturbation", "budget",
     "disable", "ablation",
 }
+
+# No force, mass, length, friction or noise scale of a tabletop task comes
+# near this; far larger numbers overflow in the Monte Carlo arithmetic.
+_MAX_MAGNITUDE = 1e6
 _BUDGET_DEFAULTS = {"max_levels": 8, "max_expansions": 200_000}
 _PERTURBATION_DEFAULTS = {
     f.name: getattr(PerturbationSpec(), f.name) for f in fields(PerturbationSpec)
@@ -123,6 +127,10 @@ def _checked_value(base, value, path: str):
         # Python's json reads NaN and Infinity; NaN fails both comparisons.
         if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ConfigError(f"'{path}' must be a finite number")
+        if abs(value) > _MAX_MAGNITUDE:
+            raise ConfigError(
+                f"'{path}' must be at most {_MAX_MAGNITUDE:g} in magnitude"
+            )
         return value
     if isinstance(base, str):
         if not isinstance(value, str):

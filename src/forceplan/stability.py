@@ -44,6 +44,7 @@ from typing import Union
 import numpy as np
 from scipy.optimize import nnls
 
+from . import robot
 from .spatial import Wrench, transform_wrench
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "in_convex_cone",
     "polygon_patch_verdicts",
     "beam_support_forces",
+    "torque_stable",
     "joint_stable",
     "chain_stable",
 ]
@@ -114,12 +116,18 @@ class CircularPatchJoint:
 
 @dataclass(frozen=True, eq=False)
 class PolygonPatchJoint:
-    """Planar patch supported at polygon corners with known normal forces."""
+    """Planar patch supported at polygon corners with known normal forces.
+
+    ``preload`` is the fixed wrench, in the patch frame, that the patch
+    bears on top of the transmitted wrench: a grip squeeze or a resting
+    weight.
+    """
 
     mu: float
     corners: np.ndarray
     corner_normal_forces: np.ndarray
     contact_frame: str = ""
+    preload: Wrench | None = None
 
     def __post_init__(self):
         corners = np.asarray(self.corners, dtype=float).reshape(-1, 3).copy()
@@ -172,24 +180,13 @@ class ForcefulKinematicChain:
     """Ordered joints between the wrench application frame and ground.
 
     ``joints`` holds ``(joint, transform)`` pairs where the transform maps
-    application-frame coordinates into that joint's test frame.
-    ``gravity_wrenches`` optionally adds a fixed wrench (already expressed
-    in the joint test frame) to the transmitted wrench at each joint; used
-    for gravity loads and grip preloads.
+    application-frame coordinates into that joint's test frame.  A load a
+    joint bears besides the transmitted wrench is the joint's own
+    ``preload``.
     """
 
     application_frame: str
     joints: tuple = ()
-    gravity_wrenches: tuple | None = None
-
-    def __post_init__(self):
-        joints = tuple((j, t) for j, t in self.joints)
-        object.__setattr__(self, "joints", joints)
-        if self.gravity_wrenches is not None:
-            gw = tuple(self.gravity_wrenches)
-            if len(gw) != len(joints):
-                raise ValueError("need one gravity wrench slot per joint")
-            object.__setattr__(self, "gravity_wrenches", gw)
 
 
 def limit_surface_stable(w_planar, joint: CircularPatchJoint) -> StabilityVerdict:
@@ -383,9 +380,28 @@ def _circular_patch_stable(joint: CircularPatchJoint, w: Wrench) -> StabilityVer
 
 
 def _polygon_patch_stable(joint: PolygonPatchJoint, w: Wrench) -> StabilityVerdict:
+    p = joint.preload
+    if p is not None:
+        w = Wrench(w.force + p.force, w.torque + p.torque)
     generators = friction_cone_generators(joint)
     feasible, margin = in_convex_cone(-w.as_array(), generators)
     return StabilityVerdict(feasible and margin > 0.0, margin)
+
+
+def torque_stable(arm: robot.SerialArm, q, w: Wrench) -> StabilityVerdict:
+    """Strict torque-limit check for exerting ``w`` at the end effector.
+
+    ``w`` must be expressed in base axes about the end-effector origin.
+    Margin is one minus the worst utilization ratio; the verdict's
+    ``failing_joint`` names the 0-based arm joint with that ratio when the
+    check fails.
+    """
+    tau = robot.jacobian(arm, q).T @ w.as_array()
+    ratios = np.abs(tau) / arm.torque_limits
+    worst = int(np.argmax(ratios))
+    margin = 1.0 - float(ratios[worst])
+    stable = ratios[worst] < 1.0
+    return StabilityVerdict(stable, margin, None if stable else worst)
 
 
 def joint_stable(joint: JointModel, w: Wrench) -> StabilityVerdict:
@@ -397,8 +413,6 @@ def joint_stable(joint: JointModel, w: Wrench) -> StabilityVerdict:
     if isinstance(joint, PolygonPatchJoint):
         return _polygon_patch_stable(joint, w)
     if isinstance(joint, ArmJoint):
-        from .robot import torque_stable
-
         return torque_stable(joint.arm, joint.config_q, w)
     raise TypeError(f"unknown joint model {type(joint).__name__}")
 
@@ -409,24 +423,18 @@ def chain_stable(chain: ForcefulKinematicChain, w: Wrench) -> StabilityVerdict:
     The wrench must be expressed in the chain's application frame; a wrench
     that names another frame raises ``ValueError``.  An unnamed frame is
     taken to be the application frame.  Margin is the minimum over joints,
-    and ``failing_joint`` is the index of the first unstable joint.
+    and ``failing_joint`` is the index of the first unstable joint.  Each
+    joint sees ``w`` in its test frame; a polygon patch adds its preload.
     """
     if w.frame and w.frame != chain.application_frame:
         raise ValueError(
             f"wrench in frame {w.frame!r} but chain applies at "
             f"{chain.application_frame!r}"
         )
-    if not chain.joints:
-        return StabilityVerdict(True, 1.0)
     margin = np.inf
     failing = None
     for idx, (joint, t_app_joint) in enumerate(chain.joints):
-        wj = transform_wrench(w, t_app_joint)
-        if chain.gravity_wrenches is not None:
-            extra = chain.gravity_wrenches[idx]
-            if extra is not None:
-                wj = Wrench(wj.force + extra.force, wj.torque + extra.torque)
-        verdict = joint_stable(joint, wj)
+        verdict = joint_stable(joint, transform_wrench(w, t_app_joint))
         if verdict.margin < margin:
             margin = verdict.margin
         if not verdict.stable and failing is None:

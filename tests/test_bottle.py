@@ -82,7 +82,7 @@ class TestTwistChains:
         assert len(chain.joints) == 3
         tip = chain.joints[0][0]
         assert tip.radius_r == 0.02 and tip.mu == 0.7
-        preload = chain.gravity_wrenches[1]
+        preload = chain.joints[1][0].preload
         assert preload is not None
         assert preload.force[2] == pytest.approx(-160.0)
         verdict = chain_stable(chain, w)

@@ -136,6 +136,14 @@ class TestSolve:
         assert "'perturbation.mu_rel' must be a finite number" in err
         assert "Traceback" not in err
 
+    def test_overflowing_value_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"domain": "bottle-cap", "perturbation": {"wrench_rel": 1e308}}')
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "'perturbation.wrench_rel' must be at most 1e+06 in magnitude" in err
+        assert "Traceback" not in err
+
     def test_bad_stage_value_exits_1_before_any_solve(self, tmp_path, capsys):
         bad = tmp_path / "bad_stage.json"
         bad.write_text(

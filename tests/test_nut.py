@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from forceplan.domains import nut
-from forceplan.domains.scene import grasp_target, plan_summary
+from forceplan.domains.scene import grasp_target, pad_grasp_joint, plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
 from forceplan.stability import RigidJoint, chain_stable
@@ -57,7 +58,7 @@ class TestTwistChains:
         chain, w = world.twist_chain("spanner-twist", "arm0", q)
         assert len(chain.joints) == 3
         assert isinstance(chain.joints[0][0], RigidJoint)
-        preload = chain.gravity_wrenches[1]
+        preload = chain.joints[1][0].preload
         assert preload.force[2] == pytest.approx(-160.0)
         assert chain_stable(chain, w).stable
         assert chain_cost(chain, w, PerturbationSpec(), seed=0) == 0.0
@@ -85,6 +86,36 @@ class TestFixtureChains:
         world = make_world()
         chain, w = world.fixture_chain("arm-hold")
         assert chain_cost(chain, w, PerturbationSpec(), seed=3) == 0.0
+
+
+def corner_resultant(patch):
+    """The wrench a patch's corner forces press on it, about the patch origin."""
+    loads = np.zeros((len(patch.corners), 3))
+    loads[:, 2] = -patch.corner_normal_forces
+    torque = np.cross(patch.corners, loads).sum(axis=0)
+    return np.concatenate([loads.sum(axis=0), torque])
+
+
+class TestPreloads:
+    """Each preload is the resultant of its patch's corner forces."""
+
+    def test_pad_grasp(self):
+        pads = pad_grasp_joint(0.8, (0.03, 0.02), 80.0)
+        expected = corner_resultant(pads)
+        assert np.allclose(pads.preload.as_array(), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "load",
+        [None]
+        + [(mass, spot) for mass in nut.SCENE_DEFAULTS["weights"].values()
+           for spot in (0.1, -0.2, 0.25)],
+    )
+    def test_slat(self, load):
+        route = "rest-hold" if load is None else "weight-hold"
+        chain, _ = make_world().fixture_chain(route, load)
+        ((slat, _),) = chain.joints
+        expected = corner_resultant(slat)
+        assert np.allclose(slat.preload.as_array(), expected, rtol=0, atol=1e-9)
 
 
 class TestCarrying:

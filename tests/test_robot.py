@@ -13,9 +13,9 @@ from forceplan.robot import (
     ik,
     jacobian,
     planar_two_link_arm,
-    torque_stable,
 )
 from forceplan.spatial import Transform, Wrench, rot_y
+from forceplan.stability import torque_stable
 
 
 def numeric_jacobian(arm, q, eps=1e-5):

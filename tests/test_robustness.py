@@ -154,13 +154,12 @@ class TestSharedNoiseMonotonicity:
         probs = []
         for mass in (1.0, 2.0, 3.0, 4.0, 5.0):
             joint = PolygonPatchJoint(
-                mu=0.4, corners=corners, corner_normal_forces=[20.0] * 4
+                mu=0.4,
+                corners=corners,
+                corner_normal_forces=[20.0] * 4,
+                preload=Wrench([0, 0, -80.0], [0, 0, 0]),
             )
-            chain = ForcefulKinematicChain(
-                "obj",
-                ((joint, Transform.identity()),),
-                gravity_wrenches=(Wrench([0, 0, -80.0], [0, 0, 0]),),
-            )
+            chain = ForcefulKinematicChain("obj", ((joint, Transform.identity()),))
             w = Wrench([mass * 9.81, 0, 0], [0, 0, 0], frame="obj")
             probs.append(success_probability(chain, w, spec, seed=21))
         assert all(b <= a for a, b in zip(probs, probs[1:]))
@@ -248,7 +247,8 @@ def joints(draw):
         m = draw(st.integers(min_value=1, max_value=4))
         corners = [[0.1 * draw(small), 0.1 * draw(small), 0.0] for _ in range(m)]
         forces = [draw(corner_forces) for _ in range(m)]
-        return PolygonPatchJoint(draw(frictions), corners, forces, "slat")
+        preload = draw(st.one_of(st.none(), wrenches(force=30.0, torque=1.0)))
+        return PolygonPatchJoint(draw(frictions), corners, forces, "slat", preload)
     if kind == "arm":
         arm = draw(st.sampled_from([planar_two_link_arm(0.4, 0.3), default_arm()]))
         lo, hi = arm.position_limits[:, 0], arm.position_limits[:, 1]
@@ -261,12 +261,7 @@ def joints(draw):
 def chains(draw):
     size = draw(st.sampled_from(range(5)))
     links = [(draw(joints()), draw(transforms())) for _ in range(size)]
-    gravity = None
-    if links and draw(st.booleans()):
-        gravity = tuple(
-            draw(st.one_of(st.none(), wrenches(force=30.0, torque=1.0))) for _ in links
-        )
-    return ForcefulKinematicChain("app", tuple(links), gravity)
+    return ForcefulKinematicChain("app", tuple(links))
 
 
 @st.composite
@@ -370,9 +365,9 @@ class TestBatchedAgreesWithScalarOracle:
         for i in range(spec.samples):
             rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
             c2, w2 = perturbed_case(chain, w, spec, rng)
-            for idx, (_, t) in enumerate(c2.joints):
+            for idx, (joint, t) in enumerate(c2.joints):
                 wj = transform_wrench(w2, t)
-                extra = (c2.gravity_wrenches or (None,) * len(c2.joints))[idx]
+                extra = joint.preload if isinstance(joint, PolygonPatchJoint) else None
                 if extra is not None:
                     wj = Wrench(wj.force + extra.force, wj.torque + extra.torque)
                 assert batched[idx][i].tobytes() == wj.as_array().tobytes()

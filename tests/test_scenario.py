@@ -172,6 +172,15 @@ class TestValues:
             ("nut-fastening", "scene.beam_length", 0.0, "scene.beam_length"),
             ("nut-fastening", "scene.beam_length", -1.0, "scene.beam_length"),
             ("bottle-cap", "scene.start_surface", "tabel", "scene.start_surface"),
+            ("bottle-cap", "perturbation.wrench_rel", 1e308, "perturbation.wrench_rel"),
+            ("bottle-cap", "scene.bottle_mass", 1e308, "scene.bottle_mass"),
+            ("bottle-cap", "perturbation.frame_rotation", 1e308, "perturbation.frame_rotation"),
+            ("nut-fastening", "perturbation.patch_rel", 1e300, "perturbation.patch_rel"),
+            ("bottle-cap", "operation.torque", -2e6, "operation.torque"),
+            (
+                "bottle-cap", "operation.extra_force_levels", [0.0, 10**7],
+                "operation.extra_force_levels[1]",
+            ),
         ],
     )
     def test_bad_values_name_the_dotted_path(self, domain, dotted, value, reported):

@@ -349,17 +349,12 @@ class TestChainStable:
         assert combined.margin == pytest.approx(min(m1, m2))
 
     def test_gravity_wrench_added_in_joint_frame(self):
-        patch = PolygonPatchJoint(
-            mu=0.4,
-            corners=[[0.25, 0.03, 0], [0.25, -0.03, 0], [-0.25, 0.03, 0], [-0.25, -0.03, 0]],
-            corner_normal_forces=[5.0, 5.0, 5.0, 5.0],
-        )
+        corners = [[0.25, 0.03, 0], [0.25, -0.03, 0], [-0.25, 0.03, 0], [-0.25, -0.03, 0]]
+        forces = [5.0, 5.0, 5.0, 5.0]
         gravity = Wrench([0.0, 0.0, -20.0], [0.0, 0.0, 0.0])
-        chain = ForcefulKinematicChain(
-            "nut",
-            joints=((patch, Transform.identity()),),
-            gravity_wrenches=(gravity,),
-        )
+        patch = PolygonPatchJoint(mu=0.4, corners=corners, corner_normal_forces=forces)
+        loaded = PolygonPatchJoint(0.4, corners, forces, preload=gravity)
+        chain = ForcefulKinematicChain("nut", joints=((loaded, Transform.identity()),))
         # A pure twist alone reacts against nothing; with the gravity load
         # pressing the patch the friction can work.
         ok = chain_stable(chain, Wrench([0, 0, 0], [0, 0, 0.5], frame="nut"))
