@@ -74,11 +74,11 @@ def _resolved(args):
     resolved = resolve_stage(scenario, index)
     if args.seed is not None:
         resolved = replace(resolved, seed=args.seed)
-    return scenario, resolved
+    return resolved
 
 
 def cmd_solve(args) -> int:
-    _, resolved = _resolved(args)
+    resolved = _resolved(args)
     result, summary, wall = _solve_stage(resolved)
     if not result.solved:
         print(f"no plan for stage '{resolved.name}' ({wall:.1f}s)")
@@ -105,12 +105,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    # Resolve every stage first, so a bad override fails before any solve.
-    stages = [resolve_stage(scenario, i) for i in range(len(scenario.stages))]
     rows = []
     all_solved = True
-    for resolved in stages:
+    for resolved in load_scenario(args.scenario).stages:
         if args.seed is not None:
             resolved = replace(resolved, seed=args.seed)
         result, summary, wall = _solve_stage(resolved)
@@ -200,7 +197,7 @@ def _nut_rows(world, resolved, spec, grid):
 
 
 def cmd_robustness(args) -> int:
-    _, resolved = _resolved(args)
+    resolved = _resolved(args)
     if not resolved.scene["arms"]:
         raise ConfigError("'scene.arms' must name an arm for the robustness sweep")
     module = DOMAINS[resolved.domain]

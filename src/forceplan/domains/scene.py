@@ -32,7 +32,7 @@ import numpy as np
 
 from ..planner import ActionSchema, Stream
 from ..robot import default_arm, ik
-from ..spatial import Transform, Wrench, rot_y
+from ..spatial import Transform, Wrench, compose, rot_y
 from ..stability import (
     GRAVITY,
     ArmJoint,
@@ -48,7 +48,6 @@ __all__ = [
     "pad_frame",
     "pad_grasp_joint",
     "beam_corner_forces",
-    "grasp_target",
     "reach_stream",
     "grasp_streams",
     "connect_stream",
@@ -140,14 +139,6 @@ class GraspSpec:
 
     def to_dict(self) -> dict:
         return {"offset": self.offset.to_dict(), "label": self.label}
-
-
-def grasp_target(pose: Transform, grasp: GraspSpec) -> Transform:
-    """World hand pose for ``grasp`` on an object at ``pose``."""
-    return Transform(
-        pose.rotation @ grasp.offset.rotation,
-        pose.translation + pose.rotation @ grasp.offset.translation,
-    )
 
 
 class World:
@@ -274,7 +265,7 @@ def grasp_streams(world: World) -> list:
             world, "reach-grasp",
             (("Arm", "?a"), ("Pose", "?o", "?p"), ("Grasp", "?o", "?g")),
             ("Kin", "?a", "?o", "?p", "?g"),
-            lambda b: grasp_target(b["?p"].payload, b["?g"].payload),
+            lambda b: compose(b["?p"].payload, b["?g"].payload.offset),
         ),
     ]
 

@@ -82,11 +82,11 @@ class SerialArm:
     def mid_config(self) -> np.ndarray:
         return 0.5 * (self.position_limits[:, 0] + self.position_limits[:, 1])
 
-    def within_limits(self, q: np.ndarray, tol: float = 1e-9) -> bool:
+    def within_limits(self, q: np.ndarray) -> bool:
         q = np.asarray(q, dtype=float)
         return bool(
-            np.all(q >= self.position_limits[:, 0] - tol)
-            and np.all(q <= self.position_limits[:, 1] + tol)
+            np.all(q >= self.position_limits[:, 0] - 1e-9)
+            and np.all(q <= self.position_limits[:, 1] + 1e-9)
         )
 
 

@@ -6,29 +6,32 @@ against the domain's defaults; a typo anywhere fails loading with the
 full dotted path of the offending key, and so does a value of the wrong
 type (an integer setting given a fraction, a list element of the wrong
 type), of the wrong length (a coordinate pair without exactly two
-numbers), repeated (an arm named twice) or out of range (a negative
+numbers), repeated (an arm or a stage named twice) or out of range (a negative
 force, mass, radius, friction coefficient or noise scale, fewer than one
 sample, a slat length that is not positive, a weight spot off the slat,
 a start surface other than the table, mat or vise).
 
 Ablation stages apply cumulatively: each stage's ``overrides`` (dotted
 paths into scene/operation/perturbation) and ``disable`` entries stack
-on top of all earlier stages.
+on top of all earlier stages.  Loading resolves every stage and checks
+each one, so a bad value in any stage fails loading, whichever stage a
+command goes on to use.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .robustness import PerturbationSpec
+from . import planner
 from .domains import DOMAINS
+from .robustness import PerturbationSpec
 
 __all__ = [
     "ConfigError",
-    "Stage",
     "Scenario",
     "ResolvedStage",
     "load_scenario",
@@ -44,7 +47,10 @@ _TOP_KEYS = {
 # No force, mass, length, friction or noise scale of a tabletop task comes
 # near this; far larger numbers overflow in the Monte Carlo arithmetic.
 _MAX_MAGNITUDE = 1e6
-_BUDGET_DEFAULTS = {"max_levels": 8, "max_expansions": 200_000}
+_BUDGET_DEFAULTS = {
+    name: p.default for name, p in inspect.signature(planner.solve).parameters.items()
+    if p.default is not p.empty
+}
 _PERTURBATION_DEFAULTS = {
     f.name: getattr(PerturbationSpec(), f.name) for f in fields(PerturbationSpec)
 }
@@ -55,27 +61,16 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Stage:
-    name: str
-    overrides: dict = field(default_factory=dict)
-    disable: tuple = ()
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """A scenario file: its domain and each stage, resolved and checked."""
+
     domain: str
-    seed: int
-    scene: dict
-    operation: dict
-    perturbation: dict
-    budget: dict
-    disable: tuple
     stages: tuple
 
 
 @dataclass(frozen=True)
 class ResolvedStage:
-    """One stage with every override already applied."""
+    """One stage with its own and every earlier stage's entries applied."""
 
     name: str
     domain: str
@@ -210,12 +205,15 @@ def _check_disable(names, module, path: str) -> tuple:
     return tuple(names)
 
 
-def _check_stage(raw, module, index: int) -> Stage:
+def _check_stage(raw, module, index: int, names) -> tuple:
+    """One stage entry as ``(name, overrides, disable)``; ``names`` precede it."""
     if not isinstance(raw, dict):
         raise ConfigError(f"'ablation.stages[{index}]' must be an object")
     _check_keys(raw, {"name", "overrides", "disable"}, f"ablation.stages[{index}]")
     if "name" not in raw or not isinstance(raw["name"], str):
         raise ConfigError(f"'ablation.stages[{index}].name' is required")
+    if raw["name"] in names:
+        raise ConfigError(f"'ablation.stages[{index}].name' repeats '{raw['name']}'")
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ConfigError(f"'ablation.stages[{index}].overrides' must be an object")
@@ -229,7 +227,20 @@ def _check_stage(raw, module, index: int) -> Stage:
     disable = _check_disable(
         raw.get("disable", []), module, f"ablation.stages[{index}].disable"
     )
-    return Stage(raw["name"], dict(overrides), disable)
+    return raw["name"], overrides, disable
+
+
+def _apply_override(sections: dict, dotted: str, value):
+    parts = dotted.split(".")
+    node = sections
+    for part in parts[:-1]:
+        if not isinstance(node, dict) or part not in node:
+            raise ConfigError(f"override path '{dotted}' does not exist")
+        node = node[part]
+    leaf = parts[-1]
+    if not isinstance(node, dict) or leaf not in node:
+        raise ConfigError(f"override path '{dotted}' does not exist")
+    node[leaf] = _checked_value(node[leaf], value, dotted)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -249,33 +260,40 @@ def parse_scenario(text: str) -> Scenario:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("'seed' must be a nonnegative integer")
-    scene = _merge_section(module.SCENE_DEFAULTS, raw.get("scene", {}), "scene")
-    operation = _merge_section(
-        module.OPERATION_DEFAULTS, raw.get("operation", {}), "operation"
-    )
-    perturbation = _merge_section(
-        _PERTURBATION_DEFAULTS, raw.get("perturbation", {}), "perturbation"
-    )
+    sections = {
+        key: _merge_section(defaults, raw.get(key, {}), key)
+        for key, defaults in (
+            ("scene", module.SCENE_DEFAULTS),
+            ("operation", module.OPERATION_DEFAULTS),
+            ("perturbation", _PERTURBATION_DEFAULTS),
+        )
+    }
     budget = _merge_section(_BUDGET_DEFAULTS, raw.get("budget", {}), "budget")
     if budget["max_levels"] < 0:
         raise ConfigError("'budget.max_levels' must be nonnegative")
     if budget["max_expansions"] < 1:
         raise ConfigError("'budget.max_expansions' must be at least 1")
-    disable = _check_disable(raw.get("disable", []), module, "disable")
-    _check_sections(
-        {"scene": scene, "operation": operation, "perturbation": perturbation}
-    )
+    disable = list(_check_disable(raw.get("disable", []), module, "disable"))
+    _check_sections(sections)
     stages_raw = raw.get("ablation", {})
     if not isinstance(stages_raw, dict):
         raise ConfigError("'ablation' must be an object")
     _check_keys(stages_raw, {"stages"}, "ablation")
-    stages = tuple(
-        _check_stage(s, module, i)
-        for i, s in enumerate(stages_raw.get("stages", []))
-    )
-    if not stages:
-        stages = (Stage("full"),)
-    return Scenario(domain, seed, scene, operation, perturbation, budget, disable, stages)
+    entries = []
+    for i, entry in enumerate(stages_raw.get("stages", [])):
+        entries.append(_check_stage(entry, module, i, [e[0] for e in entries]))
+    stages = []
+    for name, overrides, stage_disable in entries or [("full", {}, ())]:
+        sections = copy.deepcopy(sections)
+        for dotted, value in overrides.items():
+            _apply_override(sections, dotted, value)
+        disable += [d for d in dict.fromkeys(stage_disable) if d not in disable]
+        _check_sections(sections)
+        stages.append(ResolvedStage(
+            name, domain, seed, sections["scene"], sections["operation"],
+            PerturbationSpec(**sections["perturbation"]), dict(budget), tuple(disable),
+        ))
+    return Scenario(domain, tuple(stages))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -287,43 +305,8 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(text)
 
 
-def _apply_override(sections: dict, dotted: str, value):
-    parts = dotted.split(".")
-    node = sections
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"override path '{dotted}' does not exist")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"override path '{dotted}' does not exist")
-    node[leaf] = _checked_value(node[leaf], value, dotted)
-
-
 def resolve_stage(scenario: Scenario, index: int) -> ResolvedStage:
-    """Configuration with stages ``0..index`` applied cumulatively."""
+    """Stage ``index`` of ``scenario``, as loading resolved it."""
     if not 0 <= index < len(scenario.stages):
         raise ConfigError(f"stage index {index} out of range")
-    sections = {
-        "scene": copy.deepcopy(scenario.scene),
-        "operation": copy.deepcopy(scenario.operation),
-        "perturbation": copy.deepcopy(scenario.perturbation),
-    }
-    disable = list(scenario.disable)
-    for stage in scenario.stages[: index + 1]:
-        for dotted, value in stage.overrides.items():
-            _apply_override(sections, dotted, value)
-        for name in stage.disable:
-            if name not in disable:
-                disable.append(name)
-    _check_sections(sections)
-    return ResolvedStage(
-        name=scenario.stages[index].name,
-        domain=scenario.domain,
-        seed=scenario.seed,
-        scene=sections["scene"],
-        operation=sections["operation"],
-        spec=PerturbationSpec(**sections["perturbation"]),
-        budget=dict(scenario.budget),
-        disable=tuple(disable),
-    )
+    return scenario.stages[index]

@@ -101,12 +101,12 @@ def compose(a: Transform, b: Transform) -> Transform:
     return Transform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
-def transform_wrench(w: Wrench, t: Transform, frame: str = "") -> Wrench:
+def transform_wrench(w: Wrench, t: Transform) -> Wrench:
     """Re-express ``w`` under ``t`` mapping its frame into the target frame.
 
     The translation picks up a moment: f' = R f, tau' = R tau + t x (R f).
     """
     f = t.rotation @ w.force
     tau = t.rotation @ w.torque + np.cross(t.translation, f)
-    return Wrench(f, tau, frame)
+    return Wrench(f, tau)
 

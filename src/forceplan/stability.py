@@ -293,14 +293,14 @@ def friction_cone_generators_batch(mu, corners, normal_forces) -> np.ndarray:
     return out.reshape(len(mu), 4 * n_force.size, 6)
 
 
-def _cone_feasible(w: np.ndarray, generators: np.ndarray, tol: float):
+def _cone_feasible(w: np.ndarray, generators: np.ndarray):
     """NNLS phase-1 feasibility of w = sum(lambda_i g_i), lambda >= 0.
 
     Returns (feasible, residual) with the residual measured after scaling
     w to unit norm, so the tolerance is relative.
     """
     scale = np.linalg.norm(w)
-    if scale <= tol:
+    if scale <= _CONE_TOL:
         return True, 0.0
     w_n = w / scale
     norms = np.linalg.norm(generators, axis=1)
@@ -309,10 +309,10 @@ def _cone_feasible(w: np.ndarray, generators: np.ndarray, tol: float):
         return False, 1.0
     basis = generators[keep] / norms[keep, None]
     _, residual = nnls(basis.T, w_n)
-    return residual <= tol, residual
+    return residual <= _CONE_TOL, residual
 
 
-def in_convex_cone(w, generators, tol: float = _CONE_TOL):
+def in_convex_cone(w, generators):
     """Membership of ``w`` in the nonnegative span of ``generators``.
 
     Returns ``(feasible, margin)``.  Conic feasibility is scale invariant,
@@ -323,7 +323,7 @@ def in_convex_cone(w, generators, tol: float = _CONE_TOL):
     generators = np.asarray(generators, dtype=float)
     if generators.size == 0:
         generators = np.zeros((0, w.shape[0]))
-    feasible, residual = _cone_feasible(w, generators, tol)
+    feasible, residual = _cone_feasible(w, generators)
     return (True, 1.0) if feasible else (False, -residual)
 
 
@@ -342,7 +342,7 @@ def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
             g = friction_cone_generators(
                 PolygonPatchJoint(mu[s], corners[s], normal_forces)
             )
-        verdicts[s] = _cone_feasible(-wrenches[s], g, _CONE_TOL)[0]
+        verdicts[s] = _cone_feasible(-wrenches[s], g)[0]
     return verdicts
 
 

@@ -7,9 +7,10 @@ import math
 import pytest
 
 from forceplan.domains import bottle
-from forceplan.domains.scene import grasp_target, plan_summary
+from forceplan.domains.scene import plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
+from forceplan.spatial import compose
 from forceplan.stability import GRAVITY, CircularPatchJoint, RigidJoint, chain_stable
 
 
@@ -128,7 +129,7 @@ class TestCarryChain:
         world = make_world()
         grasp = world.object_grasp("bottle")
         q = world.reach(
-            "arm0", grasp_target(world.bottle_pose, grasp)
+            "arm0", compose(world.bottle_pose, grasp.offset)
         )
         chain, w = world.grasp_hold_chain("bottle", "arm0", q)
         verdict = chain_stable(chain, w)
@@ -139,7 +140,7 @@ class TestCarryChain:
         world = make_world(grip_force=1.5)
         grasp = world.object_grasp("bottle")
         q = world.reach(
-            "arm0", grasp_target(world.bottle_pose, grasp)
+            "arm0", compose(world.bottle_pose, grasp.offset)
         )
         chain, w = world.grasp_hold_chain("bottle", "arm0", q)
         assert not chain_stable(chain, w).stable

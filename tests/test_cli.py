@@ -156,6 +156,31 @@ class TestSolve:
         assert "Traceback" not in captured.err
         assert "two-arms" not in captured.out
 
+    @pytest.mark.parametrize(
+        "stage_b, reported",
+        [
+            (
+                '{"name": "b", "overrides": {"scene.frictoin.bottle-table": 0.1}}',
+                "override path 'scene.frictoin.bottle-table' does not exist",
+            ),
+            (
+                '{"name": "b", "overrides": {"scene.bottle_mass": -1.0}}',
+                "'scene.bottle_mass' must be nonnegative",
+            ),
+            ('{"name": "a"}', "'ablation.stages[1].name' repeats 'a'"),
+        ],
+        ids=["typo-path", "negative-mass", "repeated-name"],
+    )
+    def test_bad_later_stage_fails_a_solve_of_stage_a(self, tmp_path, capsys, stage_b, reported):
+        bad = tmp_path / "bad_stage.json"
+        bad.write_text(
+            f'{{"domain": "bottle-cap", "ablation": {{"stages": [{{"name": "a"}}, {stage_b}]}}}}'
+        )
+        assert main(["solve", str(bad), "--stage", "a"]) == 1
+        err = capsys.readouterr().err
+        assert reported in err
+        assert "Traceback" not in err
+
 
 class TestArguments:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Source hygiene: public names exist, no module imports a name it never
-uses, and the package's own imports form no cycle and sit at module level.
+uses, the package's own imports form no cycle and sit at module level, and
+every parameter default is overridden by some call.
 
 No linter is a dependency, so the checks read the source with ``ast``.
 """
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.glob("forceplan/**/*.py"))
 
 
@@ -92,3 +94,60 @@ def test_package_imports_form_no_cycle():
 @pytest.mark.parametrize("path", MODULES, ids=module_name)
 def test_no_package_module_is_imported_inside_a_function(path):
     assert package_imports(path)[1] == set()
+
+
+def defaulted_parameters(path):
+    """``(function name, parameter, position or None, is a method)`` per default."""
+    tree = ast.parse(path.read_text())
+    methods = {
+        id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in c.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        for i in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield node.name, positional[i].arg, i, id(node) in methods
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None, id(node) in methods
+
+
+def calls_by_name():
+    """Per callee name: ``(keywords, positional count, is an attribute)`` per call."""
+    calls = {}
+    for folder in ("src", "perfbench", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                attribute = isinstance(node.func, ast.Attribute)
+                name = node.func.attr if attribute else getattr(node.func, "id", None)
+                keywords = {k.arg for k in node.keywords}
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    keywords.add(None)
+                calls.setdefault(name, []).append((keywords, len(node.args), attribute))
+    return calls
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    """A default that no call overrides is a constant dressed as a parameter.
+
+    A call in ``src/``, ``perfbench/`` or ``tests/`` overrides a default
+    when its callee's ``Name`` id or ``Attribute`` attr is the function's
+    name and it passes the parameter by keyword, by position (a method
+    called as an attribute binds ``self`` first) or through ``*``/``**``.
+    Matching is by name, so two functions that share a name are checked
+    together.
+    """
+    calls = calls_by_name()
+    unused = []
+    for path in MODULES:
+        for func, param, position, method in defaulted_parameters(path):
+            if not any(
+                param in keywords or None in keywords
+                or (position is not None and count + (method and attribute) > position)
+                for keywords, count, attribute in calls.get(func, [])
+            ):
+                unused.append(f"{module_name(path)}.{func}({param})")
+    assert unused == []

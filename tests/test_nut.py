@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from forceplan.domains import nut
-from forceplan.domains.scene import grasp_target, pad_grasp_joint, plan_summary
+from forceplan.domains.scene import pad_grasp_joint, plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
+from forceplan.spatial import compose
 from forceplan.stability import RigidJoint, chain_stable
 
 
@@ -126,7 +127,7 @@ class TestCarrying:
         for wname in ("w1", "w2", "w3"):
             grasp = world.object_grasp(wname)
             q = world.reach(
-                "arm0", grasp_target(world.object_pose(wname), grasp)
+                "arm0", compose(world.object_pose(wname), grasp.offset)
             )
             assert q is not None, wname
             chain, w = world.grasp_hold_chain(wname, "arm0", q)

@@ -18,17 +18,17 @@ class TestParsing:
     def test_minimal_scenario_fills_defaults(self):
         sc = parse('{"domain": "bottle-cap"}')
         assert sc.domain == "bottle-cap"
-        assert sc.seed == 0
-        assert sc.scene["bottle_xy"] == [0.0, 0.18]
-        assert sc.scene["friction"]["hand-cap"] == 0.8
-        assert sc.operation["push_force"] == 15.0
-        assert sc.budget == {"max_levels": 8, "max_expansions": 200_000}
+        assert sc.stages[0].seed == 0
+        assert sc.stages[0].scene["bottle_xy"] == [0.0, 0.18]
+        assert sc.stages[0].scene["friction"]["hand-cap"] == 0.8
+        assert sc.stages[0].operation["push_force"] == 15.0
+        assert sc.stages[0].budget == {"max_levels": 8, "max_expansions": 200_000}
         assert [s.name for s in sc.stages] == ["full"]
 
     def test_comment_lines_are_stripped(self):
         sc = parse('// top note\n{\n// inner note\n"domain": "nut-fastening"\n}\n')
         assert sc.domain == "nut-fastening"
-        assert sc.scene["beam_length"] == 0.5
+        assert sc.stages[0].scene["beam_length"] == 0.5
 
     def test_overrides_merge_into_nested_sections(self):
         sc = parse(
@@ -36,11 +36,11 @@ class TestParsing:
             ' "scene": {"grip_force": 25.0, "friction": {"hand-cap": 0.5}},'
             ' "perturbation": {"samples": 40}}'
         )
-        assert sc.seed == 3
-        assert sc.scene["grip_force"] == 25.0
-        assert sc.scene["friction"]["hand-cap"] == 0.5
-        assert sc.scene["friction"]["bottle-mat"] == 0.8
-        assert sc.perturbation["samples"] == 40
+        assert sc.stages[0].seed == 3
+        assert sc.stages[0].scene["grip_force"] == 25.0
+        assert sc.stages[0].scene["friction"]["hand-cap"] == 0.5
+        assert sc.stages[0].scene["friction"]["bottle-mat"] == 0.8
+        assert sc.stages[0].spec.samples == 40
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ConfigError, match="domain"):
@@ -70,7 +70,7 @@ class TestParsing:
 
     def test_routes_are_valid_disable_targets(self):
         sc = parse('{"domain": "bottle-cap", "disable": ["vise-hold", "twist-tool"]}')
-        assert sc.disable == ("vise-hold", "twist-tool")
+        assert sc.stages[0].disable == ("vise-hold", "twist-tool")
 
 
 class TestStages:
@@ -114,17 +114,22 @@ class TestStages:
                 '{"domain": "bottle-cap", "ablation": {"stages": ['
                 '{"name": "x", "overrides": {"budget.max_levels": 2}}]}}'
             )
-        sc = parse(
-            '{"domain": "bottle-cap", "ablation": {"stages": ['
-            '{"name": "x", "overrides": {"scene.friction.nope": 2}}]}}'
-        )
         with pytest.raises(ConfigError, match="scene.friction.nope"):
-            resolve_stage(sc, 0)
+            parse(
+                '{"domain": "bottle-cap", "ablation": {"stages": ['
+                '{"name": "x", "overrides": {"scene.friction.nope": 2}}]}}'
+            )
 
     def test_stage_needs_a_name(self):
         with pytest.raises(ConfigError, match="name"):
             parse('{"domain": "bottle-cap", "ablation": {"stages": [{}]}}')
 
+    def test_repeated_stage_name_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("'ablation.stages[1].name' repeats 'a'")):
+            parse(
+                '{"domain": "bottle-cap",'
+                ' "ablation": {"stages": [{"name": "a"}, {"name": "a"}]}}'
+            )
 
 
 def _nested(dotted, value):
@@ -192,9 +197,7 @@ class TestValues:
             texts.append(json.dumps({"domain": domain, "ablation": {"stages": stages}}))
         for text in texts:
             with pytest.raises(ConfigError, match=re.escape(f"'{reported}'")):
-                sc = parse(text)
-                for index in range(len(sc.stages)):
-                    resolve_stage(sc, index)
+                parse(text)
 
     def test_spot_at_the_slat_end_is_allowed(self):
         sc = parse('{"domain": "nut-fastening", "scene": {"weight_spots": [-0.25, 0.25]}}')
