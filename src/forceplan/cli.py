@@ -28,7 +28,7 @@ from .domains import DOMAINS, bottle
 from .domains.scene import plan_summary
 from .planner import SolveResult, format_plan, plan_to_dict, solve, validate_plan
 from .robustness import cost_from_probability, success_probability
-from .scenario import ConfigError, load_scenario, resolve_stage
+from .scenario import MAX_MAGNITUDE, ConfigError, load_scenario, resolve_stage
 
 
 def _solve_stage(resolved):
@@ -55,23 +55,8 @@ def _solve_stage(resolved):
     return result, plan_summary(result, names), wall
 
 
-def _stage_index(scenario, stage_arg: str) -> int:
-    names = [s.name for s in scenario.stages]
-    if stage_arg in names:
-        return names.index(stage_arg)
-    try:
-        index = int(stage_arg)
-    except ValueError:
-        raise ConfigError(f"no stage named '{stage_arg}' (stages: {names})")
-    if not 0 <= index < len(names):
-        raise ConfigError(f"stage index {index} out of range (stages: {names})")
-    return index
-
-
 def _resolved(args):
-    scenario = load_scenario(args.scenario)
-    index = _stage_index(scenario, getattr(args, "stage", "0"))
-    resolved = resolve_stage(scenario, index)
+    resolved = resolve_stage(load_scenario(args.scenario), getattr(args, "stage", "0"))
     if args.seed is not None:
         resolved = replace(resolved, seed=args.seed)
     return resolved
@@ -147,6 +132,8 @@ def _parse_sweep(text: str) -> np.ndarray:
     grid = np.linspace(lo, hi, count)
     if np.any(grid < 0):
         raise ConfigError(f"--sweep values must be nonnegative, got '{text}'")
+    if np.any(grid > MAX_MAGNITUDE):
+        raise ConfigError(f"--sweep values must be at most {MAX_MAGNITUDE:g}, got '{text}'")
     return grid
 
 

@@ -13,9 +13,9 @@ a start surface other than the table, mat or vise).
 
 Ablation stages apply cumulatively: each stage's ``overrides`` (dotted
 paths into scene/operation/perturbation) and ``disable`` entries stack
-on top of all earlier stages.  Loading resolves every stage and checks
-each one, so a bad value in any stage fails loading, whichever stage a
-command goes on to use.
+on top of all earlier stages; an override goes through the same checked
+merge as a base section.  Loading resolves and checks every stage, so a
+bad value in any stage fails loading, whichever stage a command uses.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .domains import DOMAINS
 from .robustness import PerturbationSpec
 
 __all__ = [
+    "MAX_MAGNITUDE",
     "ConfigError",
     "Scenario",
     "ResolvedStage",
@@ -46,7 +47,7 @@ _TOP_KEYS = {
 
 # No force, mass, length, friction or noise scale of a tabletop task comes
 # near this; far larger numbers overflow in the Monte Carlo arithmetic.
-_MAX_MAGNITUDE = 1e6
+MAX_MAGNITUDE = 1e6
 _BUDGET_DEFAULTS = {
     name: p.default for name, p in inspect.signature(planner.solve).parameters.items()
     if p.default is not p.empty
@@ -93,14 +94,16 @@ def _check_keys(given: dict, allowed, path: str):
             raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
 
 
-def _merge_section(defaults: dict, given: dict, path: str) -> dict:
+def _merge_section(defaults: dict, given, path: str) -> dict:
+    """``defaults`` with the object ``given`` merged in and checked: the only
+    writer of user values, for base sections and stage overrides alike."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"'{path}' must be an object")
     _check_keys(given, defaults, path)
     merged = copy.deepcopy(defaults)
     for key, value in given.items():
         base = merged[key]
         if isinstance(base, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"'{path}.{key}' must be an object")
             merged[key] = _merge_section(base, value, f"{path}.{key}")
         else:
             merged[key] = _checked_value(base, value, f"{path}.{key}")
@@ -122,9 +125,9 @@ def _checked_value(base, value, path: str):
         # Python's json reads NaN and Infinity; NaN fails both comparisons.
         if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ConfigError(f"'{path}' must be a finite number")
-        if abs(value) > _MAX_MAGNITUDE:
+        if abs(value) > MAX_MAGNITUDE:
             raise ConfigError(
-                f"'{path}' must be at most {_MAX_MAGNITUDE:g} in magnitude"
+                f"'{path}' must be at most {MAX_MAGNITUDE:g} in magnitude"
             )
         return value
     if isinstance(base, str):
@@ -230,19 +233,6 @@ def _check_stage(raw, module, index: int, names) -> tuple:
     return raw["name"], overrides, disable
 
 
-def _apply_override(sections: dict, dotted: str, value):
-    parts = dotted.split(".")
-    node = sections
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"override path '{dotted}' does not exist")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"override path '{dotted}' does not exist")
-    node[leaf] = _checked_value(node[leaf], value, dotted)
-
-
 def parse_scenario(text: str) -> Scenario:
     try:
         raw = json.loads(_strip_comments(text))
@@ -279,14 +269,20 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(stages_raw, dict):
         raise ConfigError("'ablation' must be an object")
     _check_keys(stages_raw, {"stages"}, "ablation")
+    stage_entries = stages_raw.get("stages", [])
+    if not isinstance(stage_entries, list):
+        raise ConfigError("'ablation.stages' must be a list")
     entries = []
-    for i, entry in enumerate(stages_raw.get("stages", [])):
+    for i, entry in enumerate(stage_entries):
         entries.append(_check_stage(entry, module, i, [e[0] for e in entries]))
     stages = []
     for name, overrides, stage_disable in entries or [("full", {}, ())]:
         sections = copy.deepcopy(sections)
         for dotted, value in overrides.items():
-            _apply_override(sections, dotted, value)
+            root, *keys = dotted.split(".")
+            for key in reversed(keys):
+                value = {key: value}
+            sections[root] = _merge_section(sections[root], value, root)
         disable += [d for d in dict.fromkeys(stage_disable) if d not in disable]
         _check_sections(sections)
         stages.append(ResolvedStage(
@@ -305,8 +301,15 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(text)
 
 
-def resolve_stage(scenario: Scenario, index: int) -> ResolvedStage:
-    """Stage ``index`` of ``scenario``, as loading resolved it."""
-    if not 0 <= index < len(scenario.stages):
-        raise ConfigError(f"stage index {index} out of range")
+def resolve_stage(scenario: Scenario, stage: str | int) -> ResolvedStage:
+    """The stage named ``stage`` (``--stage`` text), else the one at that index."""
+    names = [s.name for s in scenario.stages]
+    if stage in names:
+        return scenario.stages[names.index(stage)]
+    try:
+        index = int(stage)
+    except ValueError:
+        raise ConfigError(f"no stage named '{stage}' (stages: {names})")
+    if not 0 <= index < len(names):
+        raise ConfigError(f"stage index {index} out of range (stages: {names})")
     return scenario.stages[index]

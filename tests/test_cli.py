@@ -128,6 +128,14 @@ class TestSolve:
         assert f"'{reported}'" in err
         assert "Traceback" not in err
 
+    def test_non_object_section_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"domain": "bottle-cap", "scene": 5}')
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "'scene' must be an object" in err
+        assert "Traceback" not in err
+
     def test_non_finite_value_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"domain": "nut-fastening", "perturbation": {"mu_rel": NaN}}')
@@ -161,7 +169,7 @@ class TestSolve:
         [
             (
                 '{"name": "b", "overrides": {"scene.frictoin.bottle-table": 0.1}}',
-                "override path 'scene.frictoin.bottle-table' does not exist",
+                "unknown key 'scene.frictoin'",
             ),
             (
                 '{"name": "b", "overrides": {"scene.bottle_mass": -1.0}}',
@@ -194,6 +202,8 @@ class TestArguments:
             (["robustness", "nut_default.json", "--sweep", "nan:1:2"], "--sweep"),
             (["robustness", "nut_default.json", "--sweep=-1:1:3"], "--sweep"),
             (["robustness", "bottle_default.json", "--sweep=-100:0:3"], "--sweep"),
+            (["robustness", "nut_default.json", "--sweep", "0:1e300:2"], "at most 1e+06"),
+            (["robustness", "bottle_default.json", "--sweep", "0:2e6:3"], "at most 1e+06"),
         ],
     )
     def test_bad_arguments_exit_1(self, capsys, argv, reported):

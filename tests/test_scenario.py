@@ -7,7 +7,14 @@ import re
 
 import pytest
 
-from forceplan.scenario import ConfigError, parse_scenario, resolve_stage
+from forceplan.domains import DOMAINS
+from forceplan.scenario import (
+    _BUDGET_DEFAULTS,
+    _PERTURBATION_DEFAULTS,
+    ConfigError,
+    parse_scenario,
+    resolve_stage,
+)
 
 
 def parse(text: str):
@@ -108,6 +115,21 @@ class TestStages:
         with pytest.raises(ConfigError, match="out of range"):
             resolve_stage(sc, 5)
 
+    def test_stage_is_picked_by_name_or_index_text(self):
+        sc = parse(self.A1)
+        assert resolve_stage(sc, "b") is sc.stages[1]
+        assert resolve_stage(sc, "2") is sc.stages[2]
+        with pytest.raises(ConfigError, match="no stage named 'nope'"):
+            resolve_stage(sc, "nope")
+
+    def test_object_override_merges_into_the_object(self):
+        sc = parse(
+            '{"domain": "bottle-cap", "ablation": {"stages": [{"name": "a",'
+            ' "overrides": {"scene.friction": {"bottle-table": 0.12}}}]}}'
+        )
+        default = parse('{"domain": "bottle-cap"}').stages[0].scene["friction"]
+        assert sc.stages[0].scene["friction"] == {**default, "bottle-table": 0.12}
+
     def test_bad_override_paths_rejected(self):
         with pytest.raises(ConfigError, match="budget.max_levels"):
             parse(
@@ -136,6 +158,13 @@ def _nested(dotted, value):
     for key in reversed(dotted.split(".")):
         value = {key: value}
     return value
+
+
+def _paths(node, path):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, f"{path}.{key}")
 
 
 class TestValues:
@@ -198,6 +227,36 @@ class TestValues:
         for text in texts:
             with pytest.raises(ConfigError, match=re.escape(f"'{reported}'")):
                 parse(text)
+
+    @pytest.mark.parametrize("stages", [5, None, "ab"])
+    def test_stages_must_be_a_list(self, stages):
+        text = json.dumps({"domain": "bottle-cap", "ablation": {"stages": stages}})
+        with pytest.raises(ConfigError, match=re.escape("'ablation.stages' must be a list")):
+            parse(text)
+
+    def test_any_value_at_any_path_loads_or_names_the_path(self):
+        # Every section root, nested object and leaf of the defaults, fed
+        # each kind of JSON value, in the base sections and as an override.
+        values = [5, 2.5, "x", [1], ["a"], {}, {"k": 1}, None, True]
+        cases = []
+        for domain, module in DOMAINS.items():
+            for root, defaults in (
+                ("scene", module.SCENE_DEFAULTS),
+                ("operation", module.OPERATION_DEFAULTS),
+                ("perturbation", _PERTURBATION_DEFAULTS),
+                ("budget", _BUDGET_DEFAULTS),
+            ):
+                for dotted in _paths(defaults, root):
+                    for value in values:
+                        cases.append((domain, dotted, _nested(dotted, value)))
+                        if root != "budget":
+                            stages = [{"name": "a", "overrides": {dotted: value}}]
+                            cases.append((domain, dotted, {"ablation": {"stages": stages}}))
+        for domain, dotted, body in cases:
+            try:
+                parse(json.dumps({"domain": domain, **body}))
+            except ConfigError as err:
+                assert f"'{dotted}" in str(err), body
 
     def test_spot_at_the_slat_end_is_allowed(self):
         sc = parse('{"domain": "nut-fastening", "scene": {"weight_spots": [-0.25, 0.25]}}')
