@@ -72,7 +72,8 @@ def cmd_solve(args) -> int:
         return 2
     print(f"stage '{resolved.name}': {summary['steps']} steps, "
           f"strategy {summary['strategy'] or '-'}, route {summary['route'] or '-'}, "
-          f"cost {result.cost:.6g} ({wall:.1f}s)")
+          f"cost {result.cost:.6g}, level {result.levels}, "
+          f"{result.expansions} expansions ({wall:.1f}s)")
     print(format_plan(result))
     if args.out:
         payload = {
@@ -129,6 +130,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep bounds must be finite, got '{text}'")
     if count < 1:
         raise ConfigError("--sweep needs at least one point")
+    if count > MAX_MAGNITUDE:
+        raise ConfigError(f"--sweep count must be at most {MAX_MAGNITUDE:g}, got {count}")
     grid = np.linspace(lo, hi, count)
     if np.any(grid < 0):
         raise ConfigError(f"--sweep values must be nonnegative, got '{text}'")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..planner import ActionSchema, Problem, Stream, ValueRegistry
+from ..planner import ActionSchema, Problem, Stream, Value
 from ..robustness import PerturbationSpec, chain_cost
 from ..spatial import Transform, Wrench, rot_z
 from ..stability import GRAVITY, CircularPatchJoint, ForcefulKinematicChain, RigidJoint
@@ -264,10 +264,8 @@ def build_problem(
     (no tool, mat or vise, one arm) remove theirs (``World.offered``).
     """
     cfg = world.cfg
-    registry = ValueRegistry()
-
-    statics, init = world.arm_facts(registry)
-    p0 = registry.add("pose", world.bottle_pose)
+    statics, init = world.arm_facts()
+    p0 = Value("pose", world.bottle_pose)
     statics += [
         ("Pose", "bottle", p0),
         ("Placement", "bottle", p0, cfg["start_surface"]),
@@ -279,7 +277,7 @@ def build_problem(
     if cfg["vise"]:
         statics.append(("Placeable", "bottle", "vise"))
     if cfg["tool"]:
-        pt = registry.add("pose", world.tool_pose)
+        pt = Value("pose", world.tool_pose)
         statics += [
             ("Pose", "tool", pt),
             ("Placement", "tool", pt, "table"),
@@ -374,7 +372,5 @@ def build_problem(
     twists, twist_names = twist_schemas(
         world, "twist-cap", ("CapLoose",), disable, price
     )
-    problem = Problem(
-        statics, init, [("CapRemoved",)], schemas + twists, streams, registry
-    )
+    problem = Problem(statics, init, [("CapRemoved",)], schemas + twists, streams)
     return problem, twist_names

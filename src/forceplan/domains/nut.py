@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..planner import ActionSchema, Problem, ValueRegistry
+from ..planner import ActionSchema, Problem, Value
 from ..robustness import PerturbationSpec, chain_cost
 from ..spatial import Transform, Wrench
 from ..stability import (
@@ -245,11 +245,9 @@ def build_problem(
     disable=(),
 ):
     cfg = world.cfg
-    registry = ValueRegistry()
-
-    statics, init = world.arm_facts(registry)
+    statics, init = world.arm_facts()
     for wname in sorted(cfg["weights"]):
-        pw = registry.add("pose", world.object_pose(wname))
+        pw = Value("pose", world.object_pose(wname))
         statics += [
             ("Weight", wname),
             ("Graspable", wname),
@@ -257,10 +255,10 @@ def build_problem(
         ]
         init.append(("AtPose", wname, pw))
     for spot in cfg["weight_spots"]:
-        u = registry.add("spot", float(spot))
+        u = Value("spot", float(spot))
         statics.append(("Spot", u))
     if cfg["spanner"]:
-        ps = registry.add("pose", world.object_pose("spanner"))
+        ps = Value("pose", world.object_pose("spanner"))
         statics += [("Graspable", "spanner"), ("Pose", "spanner", ps)]
         init.append(("AtPose", "spanner", ps))
 
@@ -320,7 +318,5 @@ def build_problem(
     twists, twist_names = twist_schemas(
         world, "twist-nut", ("NutLoosened",), disable, price
     )
-    problem = Problem(
-        statics, init, [("NutLoosened",)], schemas + twists, streams, registry
-    )
+    problem = Problem(statics, init, [("NutLoosened",)], schemas + twists, streams)
     return problem, twist_names

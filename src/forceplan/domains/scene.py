@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..planner import ActionSchema, Stream
+from ..planner import ActionSchema, Stream, Value
 from ..robot import default_arm, ik
 from ..spatial import Transform, Wrench, compose, rot_y
 from ..stability import (
@@ -190,11 +190,11 @@ class World:
         )
         return ik(self.arms[arm_name], local)
 
-    def arm_facts(self, registry):
+    def arm_facts(self):
         """Static and initial facts of every arm: empty, at the zero conf."""
         statics, init = [], []
         for arm_name, arm in self.arms.items():
-            q0 = registry.add("conf", np.zeros(arm.dof))
+            q0 = Value("conf", np.zeros(arm.dof))
             statics += [("Arm", arm_name), ("Conf", arm_name, q0)]
             init += [("AtConf", arm_name, q0), ("HandEmpty", arm_name)]
         return statics, init

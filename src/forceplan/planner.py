@@ -26,9 +26,11 @@ binding.  Each fact is stored once, and each ground action is built and
 priced once, at the first level that grounds it; actions priced infinite
 are never searched, and a goal that only they add is named as such.
 Facts, ground actions and stream calls are keyed by their arguments
-themselves, and a ``Value`` compares by identity.  Values are numbered in
-creation order and search breaks remaining ties by heap insertion order,
-so two runs produce identical plans and identical serialized output.
+themselves, and a ``Value`` compares by identity.  Search breaks remaining
+ties by heap insertion order, so two runs produce identical plans.  A plan
+names its values ``v0, v1, ...`` in the order they first appear in its
+steps, so its serialized form depends only on its steps, never on how many
+values the search created; outside a plan a value prints as its kind.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import numpy as np
 __all__ = [
     "STEP_COST",
     "Value",
-    "ValueRegistry",
     "ActionSchema",
     "Stream",
     "Problem",
@@ -59,33 +60,16 @@ STEP_COST = 1e-3
 
 
 class Value:
-    """A sampled object; identity is its creation index, payload is opaque."""
+    """A sampled object of some kind; compares by identity, payload is opaque."""
 
-    __slots__ = ("index", "kind", "payload")
+    __slots__ = ("kind", "payload")
 
-    def __init__(self, index: int, kind: str, payload):
-        self.index = index
+    def __init__(self, kind: str, payload):
         self.kind = kind
         self.payload = payload
 
-    @property
-    def name(self) -> str:
-        return f"v{self.index}"
-
     def __repr__(self) -> str:
-        return f"<{self.kind} {self.name}>"
-
-
-class ValueRegistry:
-    """Creation-ordered registry; the order fixes value names across runs."""
-
-    def __init__(self):
-        self._items: list[Value] = []
-
-    def add(self, kind: str, payload) -> Value:
-        v = Value(len(self._items), kind, payload)
-        self._items.append(v)
-        return v
+        return f"<{self.kind}>"
 
 
 def _is_var(term) -> bool:
@@ -93,7 +77,7 @@ def _is_var(term) -> bool:
 
 
 def _arg_key(arg) -> str:
-    return arg if isinstance(arg, str) else arg.name
+    return arg if isinstance(arg, str) else arg.kind
 
 
 def _pretty(fact) -> str:
@@ -162,7 +146,6 @@ class Problem:
     goal: list
     schemas: list
     streams: list
-    registry: ValueRegistry = field(default_factory=ValueRegistry)
 
 
 class GroundAction:
@@ -283,14 +266,14 @@ def _search(grounded, init, goal, max_expansions):
     return None, math.inf, expansions
 
 
-def _invoke_streams(problem, facts, invoked):
+def _invoke_streams(streams, facts, invoked):
     """Call each stream on its bindings not in ``invoked``; True if a fact is new."""
     progressed = False
     # Snapshot bindings for every stream first: facts certified during this
     # level only become visible to streams at the next level.
     snapshots = [
         (stream, list(_bindings(facts, stream.domain_facts, {})))
-        for stream in problem.streams
+        for stream in streams
     ]
     for stream, pending in snapshots:
         for b in pending:
@@ -303,7 +286,7 @@ def _invoke_streams(problem, facts, invoked):
                     raise ValueError(f"{stream.name}: result arity mismatch")
                 full = dict(b)
                 for var, payload in zip(stream.outputs, result):
-                    full[var] = problem.registry.add(var.lstrip("?"), payload)
+                    full[var] = Value(var.lstrip("?"), payload)
                 for cert in stream.certified:
                     fact = _instantiate(cert, full)
                     same = facts.setdefault(fact[0], {})
@@ -362,7 +345,7 @@ def solve(
         total_expansions += expansions
         if plan is not None:
             return SolveResult(plan, cost, level, total_expansions)
-        if level >= max_levels or not _invoke_streams(problem, facts, invoked):
+        if level >= max_levels or not _invoke_streams(problem.streams, facts, invoked):
             cap = max_expansions if expansions >= max_expansions else None
             return SolveResult(
                 None, math.inf, level, total_expansions,
@@ -415,9 +398,22 @@ def serialize_payload(payload):
     raise TypeError(f"cannot serialize payload of type {type(payload).__name__}")
 
 
+def _value_names(plan) -> dict:
+    """``v0, v1, ...`` for each value of ``plan``, in order of first appearance."""
+    names = {}
+    for ga in plan:
+        for a in ga.args:
+            if not isinstance(a, str) and a not in names:
+                names[a] = f"v{len(names)}"
+    return names
+
+
 def plan_to_dict(result: SolveResult, seed=None) -> dict:
+    """The plan alone: its steps, cost and seed; search statistics stay out."""
+    plan = result.plan or []
+    names = _value_names(plan)
     steps = []
-    for ga in result.plan or []:
+    for ga in plan:
         args = []
         for a in ga.args:
             if isinstance(a, str):
@@ -425,19 +421,13 @@ def plan_to_dict(result: SolveResult, seed=None) -> dict:
             else:
                 args.append(
                     {
-                        "value": a.name,
+                        "value": names[a],
                         "kind": a.kind,
                         "payload": serialize_payload(a.payload),
                     }
                 )
         steps.append({"action": ga.schema.name, "args": args, "cost": ga.cost})
-    out = {
-        "solved": result.solved,
-        "cost": result.cost,
-        "steps": steps,
-        "levels": result.levels,
-        "expansions": result.expansions,
-    }
+    out = {"solved": result.solved, "cost": result.cost, "steps": steps}
     if seed is not None:
         out["seed"] = seed
     if result.diagnostic:
@@ -448,9 +438,10 @@ def plan_to_dict(result: SolveResult, seed=None) -> dict:
 def format_plan(result: SolveResult) -> str:
     if not result.solved:
         return f"no plan: {result.diagnostic}"
+    names = _value_names(result.plan)
     lines = []
     for i, ga in enumerate(result.plan, start=1):
-        args = ", ".join(_arg_key(a) for a in ga.args)
+        args = ", ".join(names.get(a, a) for a in ga.args)
         lines.append(f"{i}. {ga.schema.name}({args})  cost={ga.cost:.6g}")
     lines.append(f"total cost {result.cost:.6g} over {len(result.plan)} steps")
     return "\n".join(lines)

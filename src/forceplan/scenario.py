@@ -14,7 +14,8 @@ a start surface other than the table, mat or vise).
 Ablation stages apply cumulatively: each stage's ``overrides`` (dotted
 paths into scene/operation/perturbation) and ``disable`` entries stack
 on top of all earlier stages; an override goes through the same checked
-merge as a base section.  Loading resolves and checks every stage, so a
+merge as a base section, so its type comes from the domain's default, not
+from a value an earlier stage set.  Loading resolves and checks every stage, so a
 bad value in any stage fails loading, whichever stage a command uses.
 """
 
@@ -94,17 +95,20 @@ def _check_keys(given: dict, allowed, path: str):
             raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
 
 
-def _merge_section(defaults: dict, given, path: str) -> dict:
-    """``defaults`` with the object ``given`` merged in and checked: the only
-    writer of user values, for base sections and stage overrides alike."""
+def _merge_section(defaults: dict, current: dict, given, path: str) -> dict:
+    """``current`` with the object ``given`` merged in: the only writer of
+    user values, for base sections and stage overrides alike.  Each value is
+    checked against the domain's ``defaults``, whose keys and types (list
+    element kinds included) ``current`` shares, never against a value an
+    earlier stage left."""
     if not isinstance(given, dict):
         raise ConfigError(f"'{path}' must be an object")
     _check_keys(given, defaults, path)
-    merged = copy.deepcopy(defaults)
+    merged = copy.deepcopy(current)
     for key, value in given.items():
-        base = merged[key]
+        base = defaults[key]
         if isinstance(base, dict):
-            merged[key] = _merge_section(base, value, f"{path}.{key}")
+            merged[key] = _merge_section(base, merged[key], value, f"{path}.{key}")
         else:
             merged[key] = _checked_value(base, value, f"{path}.{key}")
     return merged
@@ -137,9 +141,8 @@ def _checked_value(base, value, path: str):
     if isinstance(base, list):
         if not isinstance(value, list):
             raise ConfigError(f"'{path}' must be a list")
-        if base:
-            for i, item in enumerate(value):
-                _checked_value(base[0], item, f"{path}[{i}]")
+        for i, item in enumerate(value):
+            _checked_value(base[0], item, f"{path}[{i}]")
         return copy.deepcopy(value)
     raise ConfigError(f"'{path}' has unsupported type")
 
@@ -250,15 +253,16 @@ def parse_scenario(text: str) -> Scenario:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("'seed' must be a nonnegative integer")
-    sections = {
-        key: _merge_section(defaults, raw.get(key, {}), key)
-        for key, defaults in (
-            ("scene", module.SCENE_DEFAULTS),
-            ("operation", module.OPERATION_DEFAULTS),
-            ("perturbation", _PERTURBATION_DEFAULTS),
-        )
+    section_defaults = {
+        "scene": module.SCENE_DEFAULTS,
+        "operation": module.OPERATION_DEFAULTS,
+        "perturbation": _PERTURBATION_DEFAULTS,
     }
-    budget = _merge_section(_BUDGET_DEFAULTS, raw.get("budget", {}), "budget")
+    sections = {
+        key: _merge_section(defaults, defaults, raw.get(key, {}), key)
+        for key, defaults in section_defaults.items()
+    }
+    budget = _merge_section(_BUDGET_DEFAULTS, _BUDGET_DEFAULTS, raw.get("budget", {}), "budget")
     if budget["max_levels"] < 0:
         raise ConfigError("'budget.max_levels' must be nonnegative")
     if budget["max_expansions"] < 1:
@@ -282,7 +286,7 @@ def parse_scenario(text: str) -> Scenario:
             root, *keys = dotted.split(".")
             for key in reversed(keys):
                 value = {key: value}
-            sections[root] = _merge_section(sections[root], value, root)
+            sections[root] = _merge_section(section_defaults[root], sections[root], value, root)
         disable += [d for d in dict.fromkeys(stage_disable) if d not in disable]
         _check_sections(sections)
         stages.append(ResolvedStage(

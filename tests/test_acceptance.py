@@ -24,7 +24,6 @@ from forceplan.planner import (
     STEP_COST,
     ActionSchema,
     Problem,
-    ValueRegistry,
     plan_to_dict,
     solve,
     validate_plan,
@@ -340,7 +339,6 @@ def toy_courier():
         goal=[("At", "d")],
         schemas=(drive,),
         streams=(),
-        registry=ValueRegistry(),
     )
     ground = [
         (frozenset({("At", x)}), frozenset({("At", y)}), frozenset({("At", x)}), c)
@@ -381,7 +379,6 @@ def toy_vault():
         goal=[("AgentIn", "vault")],
         schemas=(take, unlock, smash, enter),
         streams=(),
-        registry=ValueRegistry(),
     )
     ground = [
         (
@@ -433,7 +430,6 @@ def toy_sanding():
         goal=[("Smooth",)],
         schemas=(coarse, fetch, fine),
         streams=(),
-        registry=ValueRegistry(),
     )
     ground = [
         (frozenset({("Rough",)}), frozenset({("Smooth",)}), frozenset({("Rough",)}), 0.40),

@@ -14,10 +14,28 @@ from pathlib import Path
 import pytest
 
 from forceplan.cli import main
-from forceplan.domains import nut
+from forceplan.domains import bottle, nut
+from forceplan.planner import Value
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+
+
+# sha256 of every shipped stage's plan file at its scenario seed.
+PLAN_PINS = {
+    ("bottle_default", "full"): "cc49c3293765ea5ad50556e33e53658dd4af9a260043b4ee5ecdec413c135dd4",
+    ("bottle_a1", "baseline"): "f7fa640f41e33f3a48eb9b76858cf035db623c30bf7f8ef88c80562e25b40bb6",
+    ("bottle_a1", "slippery-table"): "eca9465ecc70fc58b607248e51b1e34ddddf135979df31d96cc2522768e5dea3",
+    ("bottle_a1", "one-arm"): "b81507b13ca5b35bdd4136f88d73ada710f50609d5be69937fc29edd84faac07",
+    ("bottle_a1", "no-mat"): "48b7ca2e66392ed3e99f9b6410a8073c737c234140ebba055f235edb4081b682",
+    ("bottle_a2", "all-hands"): "01adf9d3b1f782ba4aff7d443a4c5a9e90d82829208e99ee0bb4863e4f3cc145",
+    ("bottle_a2", "no-wrap"): "2437943b70fce49067e77ab061fb226bf9cb20a07f8454adc90aa391dd03ca2d",
+    ("bottle_a2", "fingertips-only"): "6065af306b1b369e5538f4786c9bf3bdab302ddc654f0269ccfbd7b08fc5a208",
+    ("bottle_a2", "tool-only"): "12b1ac18e7da7c29fce3016d611521cc8869b541defe1c230d3bd75111a91b26",
+    ("nut_default", "two-arms"): "558db13880b44b6c8c6edc32910668379dbf4214c3aaeeb230cabb6c6ab77e67",
+    ("nut_default", "one-arm"): "38d05737297cbb3f62779817d380074ed6dd6cd8d40d011fba9f403c26d355d3",
+    ("nut_stiff", "full"): "c37c944b8443474d99150f282630dee8a647918a1eaf8c0eec18d746a631739a",
+}
 
 
 def read_csv(path):
@@ -33,11 +51,6 @@ class TestSolve:
         assert main(["solve", scenario, "--out", str(out1)]) == 0
         assert main(["solve", scenario, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        # Plan files are user-visible output: a change to these bytes is a
-        # change of behaviour, not a refactoring.
-        assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
-            "06413184ed9aec99a92deee9b2fa9ee8cb7cb48877a630124274b9af07fca7b0"
-        )
         payload = json.loads(out1.read_text())
         assert payload["domain"] == "nut-fastening"
         assert payload["strategy"] == "spanner-twist"
@@ -45,32 +58,40 @@ class TestSolve:
         assert payload["plan"]["solved"] is True
         assert len(payload["plan"]["steps"]) == 6
         assert payload["plan"]["seed"] == 0
+        # The plan alone, its values named by first appearance in its steps.
+        assert set(payload["plan"]) == {"solved", "cost", "steps", "seed"}
+        names = [a["value"] for step in payload["plan"]["steps"] for a in step["args"]
+                 if "value" in a]
+        assert list(dict.fromkeys(names)) == [f"v{i}" for i in range(len(set(names)))]
         text = capsys.readouterr().out
         assert "spanner-twist" in text
 
     @pytest.mark.parametrize(
-        "scenario, stage, digest",
-        [
-            ("bottle_default", "full", "a81d63c622d9b14554ed838f4541fae211ef2aec837ce6f068132a1461c02534"),
-            ("bottle_a1", "baseline", "06f37b9ff4b8f47e1c21219eeebfb058c36e4011315926f88fd756062577bc0f"),
-            ("bottle_a1", "slippery-table", "e03dd89eaf38a662b983246f5f8940bec54bebff41623f1c22b93753b75e2ca8"),
-            ("bottle_a1", "one-arm", "81af3e5a129ae35a1da1b518bb99db359c0fce696210ff50a4e3ffb8196084f2"),
-            ("bottle_a1", "no-mat", "c8a7beb6a8073a18e70d4902c672bdf4405541ac49a8aef391e6a67905626481"),
-            ("bottle_a2", "all-hands", "1b469155482d9f317b2abf14912cd18b8934ec283624e88fb7f265e65cbffbf0"),
-            ("bottle_a2", "no-wrap", "dd9e7bc11a09c9585b95a190c8121ca6d6c80268d08674decfc62e6a11ae1281"),
-            ("bottle_a2", "fingertips-only", "81c32bee37f558bf6687cecddf0bf716f75996b3338de7201826a482c721ca8d"),
-            ("bottle_a2", "tool-only", "eb08dd8e531435da669c1fe888f8fb22a019b92262eccf4faf74736bf854d6f4"),
-            ("nut_default", "two-arms", "d09260da84a64d52a635ef564cc17a5652dec84d79175b47842ecdc0d68b99e8"),
-            ("nut_default", "one-arm", "7b9de45ca0688b931436d3332b1d1abe9c8ed17ac5323afabe124618cd50b0f5"),
-        ],
+        "scenario, stage", list(PLAN_PINS), ids=[f"{sc}-{st}" for sc, st in PLAN_PINS]
     )
-    def test_shipped_plan_files_are_pinned(self, tmp_path, capsys, scenario, stage, digest):
-        # Together with the nut_stiff pin above, every shipped stage's plan
-        # file at its scenario seed is fixed byte for byte.
+    def test_shipped_plan_files_are_pinned(self, tmp_path, capsys, scenario, stage):
+        # Plan files are user-visible output: a change to these bytes is a
+        # change of behaviour, not a refactoring.
         out = tmp_path / "plan.json"
         argv = ["solve", str(SCENARIOS / f"{scenario}.json"), "--stage", stage]
         assert main([*argv, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAN_PINS[scenario, stage]
+
+    def test_plan_file_does_not_depend_on_value_creation_order(self, tmp_path, monkeypatch):
+        # A value the plan never uses, made before the solve and known to the
+        # planner through a static fact, changes no plan byte.
+        build = bottle.build_problem
+
+        def build_problem(world, *args, **kwargs):
+            problem, names = build(world, *args, **kwargs)
+            problem.statics.insert(0, ("Spare", Value("pose", world.bottle_pose)))
+            return problem, names
+
+        monkeypatch.setattr(bottle, "build_problem", build_problem)
+        out = tmp_path / "plan.json"
+        assert main(["solve", str(SCENARIOS / "bottle_default.json"), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PLAN_PINS["bottle_default", "full"]
 
     def test_stage_can_be_selected_by_name(self, capsys):
         scenario = str(SCENARIOS / "nut_default.json")
@@ -365,5 +386,8 @@ class TestRobustness:
 
     def test_bad_sweep_spec_exits_1(self, capsys):
         scenario = str(SCENARIOS / "nut_default.json")
-        assert main(["robustness", scenario, "--sweep", "zebra"]) == 1
-        assert "sweep" in capsys.readouterr().err
+        # A count numpy cannot allocate is refused before any grid is built.
+        for spec in ("zebra", "0:1:1000000000000"):
+            assert main(["robustness", scenario, "--sweep", spec]) == 1
+            err = capsys.readouterr().err
+            assert "sweep" in err and "Traceback" not in err

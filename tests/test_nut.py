@@ -197,7 +197,7 @@ class TestPlanning:
         assert not result.solved
         assert result.diagnostic == (
             "goal (NutLoosened) is added only by 8 actions priced infinite, "
-            "first twist-nut--finger-twist--rest-hold(arm0, v10)"
+            "first twist-nut--finger-twist--rest-hold(arm0, q)"
         )
 
     def test_stiff_nut_without_spanner_is_unsolvable(self):

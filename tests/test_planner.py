@@ -16,7 +16,6 @@ from forceplan.planner import (
     ActionSchema,
     Problem,
     Stream,
-    ValueRegistry,
     format_plan,
     plan_to_dict,
     serialize_payload,
@@ -246,7 +245,7 @@ class TestCosts:
         calls = []
 
         def cost_fn(binding):
-            calls.append(binding["?k"].name)
+            calls.append(binding["?k"])
             return 0.25
 
         grab = ActionSchema(

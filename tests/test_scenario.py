@@ -161,7 +161,7 @@ def _nested(dotted, value):
 
 
 def _paths(node, path):
-    yield path
+    yield path, node
     if isinstance(node, dict):
         for key, value in node.items():
             yield from _paths(value, f"{path}.{key}")
@@ -246,17 +246,43 @@ class TestValues:
                 ("perturbation", _PERTURBATION_DEFAULTS),
                 ("budget", _BUDGET_DEFAULTS),
             ):
-                for dotted in _paths(defaults, root):
+                for dotted, node in _paths(defaults, root):
                     for value in values:
                         cases.append((domain, dotted, _nested(dotted, value)))
                         if root != "budget":
                             stages = [{"name": "a", "overrides": {dotted: value}}]
                             cases.append((domain, dotted, {"ablation": {"stages": stages}}))
+                            if isinstance(node, list):
+                                # An empty base list leaves no element to check
+                                # the override against but the default's.
+                                cases.append((domain, dotted, {
+                                    **_nested(dotted, []), "ablation": {"stages": stages},
+                                }))
         for domain, dotted, body in cases:
             try:
                 parse(json.dumps({"domain": domain, **body}))
             except ConfigError as err:
                 assert f"'{dotted}" in str(err), body
+
+    def test_override_element_kind_comes_from_the_default(self):
+        # The base empties the list; the override's elements are still
+        # checked against the default's numbers.
+        text = json.dumps({
+            "domain": "nut-fastening", "scene": {"weight_spots": []},
+            "ablation": {"stages": [
+                {"name": "a", "overrides": {"scene.weight_spots": ["x"]}},
+            ]},
+        })
+        with pytest.raises(ConfigError, match=re.escape("'scene.weight_spots[0]' must be a number")):
+            parse(text)
+
+    def test_override_type_comes_from_the_default(self):
+        # An integer in the base does not make the number setting an integer one.
+        text = json.dumps({
+            "domain": "bottle-cap", "scene": {"bottle_mass": 1},
+            "ablation": {"stages": [{"name": "a", "overrides": {"scene.bottle_mass": 0.5}}]},
+        })
+        assert resolve_stage(parse(text), "a").scene["bottle_mass"] == 0.5
 
     def test_spot_at_the_slat_end_is_allowed(self):
         sc = parse('{"domain": "nut-fastening", "scene": {"weight_spots": [-0.25, 0.25]}}')
