@@ -34,10 +34,8 @@ from .scenario import MAX_MAGNITUDE, ConfigError, load_scenario, resolve_stage
 def _solve_stage(resolved):
     """Solve one stage; a plan that fails re-validation counts as no plan."""
     module = DOMAINS[resolved.domain]
-    world = module.build_world(resolved.scene, resolved.operation)
-    problem, names = module.build_problem(
-        world, resolved.spec, seed=resolved.seed, disable=resolved.disable
-    )
+    world = module.build_world(resolved.scene, resolved.operation, resolved.disable)
+    problem = module.build_problem(world, resolved.spec, seed=resolved.seed)
     start = time.perf_counter()
     result = solve(
         problem,
@@ -52,7 +50,7 @@ def _solve_stage(resolved):
                 None, math.inf, result.levels, result.expansions,
                 f"plan fails re-validation: {why}",
             )
-    return result, plan_summary(result, names), wall
+    return result, plan_summary(result), wall
 
 
 def _resolved(args):
@@ -64,14 +62,14 @@ def _resolved(args):
 
 def cmd_solve(args) -> int:
     resolved = _resolved(args)
-    result, summary, wall = _solve_stage(resolved)
+    result, (strategy, route), wall = _solve_stage(resolved)
     if not result.solved:
         print(f"no plan for stage '{resolved.name}' ({wall:.1f}s)")
         if result.diagnostic:
             print(f"  {result.diagnostic}")
         return 2
-    print(f"stage '{resolved.name}': {summary['steps']} steps, "
-          f"strategy {summary['strategy'] or '-'}, route {summary['route'] or '-'}, "
+    print(f"stage '{resolved.name}': {len(result.plan)} steps, "
+          f"strategy {strategy or '-'}, route {route or '-'}, "
           f"cost {result.cost:.6g}, level {result.levels}, "
           f"{result.expansions} expansions ({wall:.1f}s)")
     print(format_plan(result))
@@ -79,8 +77,8 @@ def cmd_solve(args) -> int:
         payload = {
             "domain": resolved.domain,
             "stage": resolved.name,
-            "strategy": summary["strategy"],
-            "route": summary["route"],
+            "strategy": strategy,
+            "route": route,
             "plan": plan_to_dict(result, seed=resolved.seed),
         }
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -96,21 +94,22 @@ def cmd_ablate(args) -> int:
     for resolved in load_scenario(args.scenario).stages:
         if args.seed is not None:
             resolved = replace(resolved, seed=args.seed)
-        result, summary, wall = _solve_stage(resolved)
+        result, (strategy, route), wall = _solve_stage(resolved)
         all_solved &= result.solved
+        steps = len(result.plan) if result.solved else 0
         rows.append(
             {
                 "stage": resolved.name,
                 "solved": int(result.solved),
-                "steps": summary["steps"],
-                "strategy": summary["strategy"],
-                "route": summary["route"],
+                "steps": steps,
+                "strategy": strategy,
+                "route": route,
                 "cost": result.cost if result.solved else "",
                 "wall_time_s": round(wall, 3),
             }
         )
-        label = f"{summary['strategy']}/{summary['route']}" if result.solved else "-"
-        print(f"{resolved.name}: steps={summary['steps']} {label} ({wall:.1f}s)")
+        label = f"{strategy}/{route}" if result.solved else "-"
+        print(f"{resolved.name}: steps={steps} {label} ({wall:.1f}s)")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -118,6 +117,11 @@ def cmd_ablate(args) -> int:
             writer.writerows(rows)
         print(f"table written to {args.out}")
     return 0 if all_solved else 2
+
+
+# Each sweep point prices every method at ``--samples``: about 0.1-0.2 s at
+# the default 1,000, so this many points already take about half an hour.
+_MAX_SWEEP_POINTS = 10_000
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -130,8 +134,10 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep bounds must be finite, got '{text}'")
     if count < 1:
         raise ConfigError("--sweep needs at least one point")
-    if count > MAX_MAGNITUDE:
-        raise ConfigError(f"--sweep count must be at most {MAX_MAGNITUDE:g}, got {count}")
+    if count > _MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"--sweep count must be at most {_MAX_SWEEP_POINTS}, got {count}"
+        )
     grid = np.linspace(lo, hi, count)
     if np.any(grid < 0):
         raise ConfigError(f"--sweep values must be nonnegative, got '{text}'")
@@ -140,24 +146,25 @@ def _parse_sweep(text: str) -> np.ndarray:
     return grid
 
 
-def _bottle_rows(world, resolved, spec):
-    """Rows of every offered route and of each offered strategy the arm reaches."""
+def _bottle_rows(world, resolved, spec, grid):
+    """Rows of each route the world offers and each strategy it offers that the
+    arm reaches, at every press force of ``grid`` (default the scenario's)."""
+    if grid is None:
+        grid = resolved.operation["extra_force_levels"]
     arm, pose = world.cfg["arms"][0], world.bottle_pose
-    strategies, routes = world.offered(resolved.disable)
     q_hand = world.reach(arm, world.twist_hand_target(pose))
-    confs = {s: q_hand for s in strategies if s != "twist-tool"}
-    if "twist-tool" in strategies:
+    confs = {s: q_hand for s in world.strategies if s != "twist-tool"}
+    if "twist-tool" in world.strategies:
         confs["twist-tool"] = world.reach(arm, world.tool_twist_target(pose))
-    levels = resolved.operation["extra_force_levels"]
     rows = []
-    for extra in levels:
+    for extra in grid:
         for strategy, q in confs.items():
             if q is None:
                 continue
             chain, w = world.twist_chain(strategy, float(extra), arm, q)
             p = success_probability(chain, w, spec, resolved.seed)
             rows.append((float(extra), strategy, 1.0 - p, cost_from_probability(p)))
-        for route in routes:
+        for route in world.routes:
             chain, w = world.fixture_chain(route, float(extra))
             p = success_probability(chain, w, spec, resolved.seed)
             rows.append((float(extra), route, 1.0 - p, cost_from_probability(p)))
@@ -180,7 +187,9 @@ def _nut_rows(world, resolved, spec, grid):
         rows.append((float(mass), "weight-hold", 1.0 - p, cost_from_probability(p)))
         if q_carry is None:
             continue
-        chain, w = world.carry_chain(float(mass), arm, q_carry)
+        chain, w = world.carry_chain(
+            float(mass), "hand-weight", world.cfg["weight_grasp_height"], arm, q_carry
+        )
         p = success_probability(chain, w, spec, resolved.seed)
         rows.append((float(mass), "weight-carry", 1.0 - p, cost_from_probability(p)))
     return rows
@@ -191,16 +200,11 @@ def cmd_robustness(args) -> int:
     if not resolved.scene["arms"]:
         raise ConfigError("'scene.arms' must name an arm for the robustness sweep")
     module = DOMAINS[resolved.domain]
-    world = module.build_world(resolved.scene, resolved.operation)
+    world = module.build_world(resolved.scene, resolved.operation, resolved.disable)
     spec = replace(resolved.spec, samples=args.samples)
     grid = _parse_sweep(args.sweep) if args.sweep else None
     if module is bottle:
-        if grid is not None:
-            resolved = replace(
-                resolved,
-                operation={**resolved.operation, "extra_force_levels": list(grid)},
-            )
-        rows = _bottle_rows(world, resolved, spec)
+        rows = _bottle_rows(world, resolved, spec, grid)
         sweep_label = "extra press force sweep"
     else:
         rows = _nut_rows(world, resolved, spec, grid)

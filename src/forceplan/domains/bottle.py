@@ -139,21 +139,6 @@ class BottleWorld(World):
             np.eye(3), np.array([cfg["tool_xy"][0], cfg["tool_xy"][1], 0.0])
         )
 
-    def strategy_available(self, strategy: str) -> bool:
-        """Whether the scene has what ``strategy`` needs (the driver tool)."""
-        return strategy != "twist-tool" or bool(self.cfg["tool"])
-
-    def route_available(self, route: str) -> bool:
-        """Whether the scene has what ``route`` needs (mat, vise, second arm)."""
-        cfg = self.cfg
-        if route == "mat-friction":
-            return bool(cfg["mat"]) or cfg["start_surface"] == "mat"
-        if route == "vise-hold":
-            return bool(cfg["vise"])
-        if route == "arm-hold":
-            return len(cfg["arms"]) >= 2
-        return True
-
     # ---- geometry helpers -------------------------------------------------
 
     def cap_top(self, bottle_pose: Transform) -> np.ndarray:
@@ -248,21 +233,23 @@ STRATEGIES = tuple(BottleWorld.STRATEGY_PARTS)
 ROUTES = tuple(BottleWorld.ROUTE_PARTS)
 
 
-def build_world(scene_cfg: dict, op_cfg: dict) -> BottleWorld:
-    return BottleWorld(scene_cfg, op_cfg)
+def build_world(scene_cfg: dict, op_cfg: dict, disable=()) -> BottleWorld:
+    """The world of one stage: it offers each strategy and route not in
+    ``disable`` whose tool, mat, vise or second arm the scene has."""
+    world = BottleWorld(scene_cfg, op_cfg)
+    absent = {
+        "twist-tool": not scene_cfg["tool"],
+        "mat-friction": not (scene_cfg["mat"] or scene_cfg["start_surface"] == "mat"),
+        "vise-hold": not scene_cfg["vise"],
+        "arm-hold": len(scene_cfg["arms"]) < 2,
+    }
+    world.strategies = [s for s in STRATEGIES if s not in disable and not absent.get(s)]
+    world.routes = [r for r in ROUTES if r not in disable and not absent.get(r)]
+    return world
 
 
-def build_problem(
-    world: BottleWorld,
-    spec: PerturbationSpec,
-    seed: int = 0,
-    disable=(),
-):
-    """Planning problem for the configured scene.
-
-    ``disable`` removes strategies or routes by name; absent scene pieces
-    (no tool, mat or vise, one arm) remove theirs (``World.offered``).
-    """
+def build_problem(world: BottleWorld, spec: PerturbationSpec, seed: int = 0) -> Problem:
+    """Planning problem for the world's scene and the variants it offers."""
     cfg = world.cfg
     statics, init = world.arm_facts()
     p0 = Value("pose", world.bottle_pose)
@@ -314,7 +301,7 @@ def build_problem(
         connect_stream(),
         Stream("press-levels", (), (("Force", "?e"),), sample_force),
     ]
-    if "twist-tool" in world.offered(disable)[0]:
+    if "twist-tool" in world.strategies:
         streams.append(
             reach_stream(
                 world, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
@@ -369,8 +356,5 @@ def build_problem(
             delete=(("HandEmpty", "?a"),),
         ),
     ]
-    twists, twist_names = twist_schemas(
-        world, "twist-cap", ("CapLoose",), disable, price
-    )
-    problem = Problem(statics, init, [("CapRemoved",)], schemas + twists, streams)
-    return problem, twist_names
+    twists = twist_schemas(world, "twist-cap", ("CapLoose",), price)
+    return Problem(statics, init, [("CapRemoved",)], schemas + twists, streams)

@@ -105,14 +105,6 @@ class NutWorld(World):
         cx, cy = cfg["beam_center_xy"]
         self.nut_top = np.array([cx, cy, cfg["nut_top_height"]])
 
-    def strategy_available(self, strategy: str) -> bool:
-        """Whether the scene has what ``strategy`` needs (the spanner)."""
-        return strategy != "spanner-twist" or bool(self.cfg["spanner"])
-
-    def route_available(self, route: str) -> bool:
-        """Whether the scene has what ``route`` needs (a second arm)."""
-        return route != "arm-hold" or len(self.cfg["arms"]) >= 2
-
     # ---- targets ----------------------------------------------------------
 
     def nut_twist_target(self) -> Transform:
@@ -223,27 +215,26 @@ class NutWorld(World):
             return self.fixture_chain(route, load)
         return self.fixture_chain(route)
 
-    def carry_chain(self, mass: float, arm_name: str, q):
-        """Pinch-carry of a dead weight of the given mass."""
-        return self.pinch_carry_chain(
-            mass, "hand-weight", self.cfg["weight_grasp_height"], arm_name, q
-        )
-
 
 STRATEGIES = tuple(NutWorld.STRATEGY_PARTS)
 ROUTES = tuple(NutWorld.ROUTE_PARTS)
 
 
-def build_world(scene_cfg: dict, op_cfg: dict) -> NutWorld:
-    return NutWorld(scene_cfg, op_cfg)
+def build_world(scene_cfg: dict, op_cfg: dict, disable=()) -> NutWorld:
+    """The world of one stage: it offers each strategy and route not in
+    ``disable`` whose spanner or second arm the scene has."""
+    world = NutWorld(scene_cfg, op_cfg)
+    absent = {
+        "spanner-twist": not scene_cfg["spanner"],
+        "arm-hold": len(scene_cfg["arms"]) < 2,
+    }
+    world.strategies = [s for s in STRATEGIES if s not in disable and not absent.get(s)]
+    world.routes = [r for r in ROUTES if r not in disable and not absent.get(r)]
+    return world
 
 
-def build_problem(
-    world: NutWorld,
-    spec: PerturbationSpec,
-    seed: int = 0,
-    disable=(),
-):
+def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Problem:
+    """Planning problem for the world's scene and the variants it offers."""
     cfg = world.cfg
     statics, init = world.arm_facts()
     for wname in sorted(cfg["weights"]):
@@ -283,7 +274,7 @@ def build_problem(
         ),
         connect_stream(),
     ]
-    if "spanner-twist" in world.offered(disable)[0]:
+    if "spanner-twist" in world.strategies:
         streams.append(
             reach_stream(
                 world, "reach-spanner-drive", arm + (("Grasp", "spanner", "?g"),),
@@ -315,8 +306,5 @@ def build_problem(
             delete=(("HandEmpty", "?a"),),
         ),
     ]
-    twists, twist_names = twist_schemas(
-        world, "twist-nut", ("NutLoosened",), disable, price
-    )
-    problem = Problem(statics, init, [("NutLoosened",)], schemas + twists, streams)
-    return problem, twist_names
+    twists = twist_schemas(world, "twist-nut", ("NutLoosened",), price)
+    return Problem(statics, init, [("NutLoosened",)], schemas + twists, streams)

@@ -3,12 +3,13 @@
 A ``World`` owns the scene configuration, the arms with their base
 placements, and the friction table, and solves IK for world-frame hand
 targets.  Both domains are one construction on top of it: a twist
-action variant for every hand strategy and fixture route the scene
+action variant for every hand strategy and fixture route the stage
 offers, priced by a hand-side chain and a fixture-side chain, plus the
 grasp, reach, move and pick plumbing that brings a hand to the work.
-``World`` makes the decisions the domains share: which variants a stage
-offers, how a variant is priced, and how a carried object is grasped and
-loads the hand.  A domain's world supplies only the facts behind them.
+A world is built for one stage and knows which variants it offers.
+``World`` makes the decisions the domains share: how a variant is named
+and priced, and how a carried object is grasped and loads the hand.  A
+domain's world supplies only the facts behind them.
 Also here: grasp targets, the arm link, the per-arm initial facts, the
 common streams and schemas, the twist-schema generator, and the plan
 summary.
@@ -152,10 +153,15 @@ class World:
 
     A domain's world supplies the twist schemas' ``(static, fluent)``
     fragments as ``STRATEGY_PARTS`` and ``ROUTE_PARTS``, whose keys, in
-    order, are the domain's strategies and routes; ``strategy_available``
-    and ``route_available``; a ground twist's two ``(chain, wrench)`` pairs
-    as ``hand_chain`` and ``fixture_for``; and ``carried(obj)``, a
-    graspable object's (mass, friction pair, grasp height).
+    order, are the domain's strategies and routes; a ground twist's two
+    ``(chain, wrench)`` pairs as ``hand_chain`` and ``fixture_for``; and
+    ``carried(obj)``, a graspable object's (mass, friction pair, grasp
+    height), which ``carry_chain`` turns into the load on the hand.
+
+    The domain's ``build_world`` builds a world for one stage and sets
+    ``strategies`` and ``routes``: the names the stage offers, in parts
+    table order, without the disabled ones and those whose scene pieces
+    are missing.
     """
 
     def __init__(self, cfg: dict, op: dict):
@@ -170,16 +176,6 @@ class World:
 
     def mu(self, pair: str) -> float:
         return float(self.cfg["friction"][pair])
-
-    def offered(self, disable):
-        """Strategies and routes not in ``disable`` whose needs the scene
-        meets, in parts-table order."""
-        return (
-            [s for s in self.STRATEGY_PARTS
-             if s not in disable and self.strategy_available(s)],
-            [r for r in self.ROUTE_PARTS
-             if r not in disable and self.route_available(r)],
-        )
 
     def reach(self, arm_name: str, world_target: Transform):
         """IK in the arm's base frame for a world-frame hand target."""
@@ -206,8 +202,10 @@ class World:
         t = Transform(np.eye(3), -np.asarray(app_to_ee_world, dtype=float))
         return joint, t
 
-    def pinch_carry_chain(self, mass, pair, grasp_z, arm_name, q):
-        """Carrying an object in the pinch grasp, loaded by its own weight.
+    def carry_chain(self, mass, pair, grasp_z, arm_name, q):
+        """Carrying an object of ``mass`` in the pinch grasp, loaded by its
+        own weight; ``pair`` names the pad friction and ``grasp_z`` is the
+        grasp height.
 
         The object's center of mass sits halfway up to the grasp height.
         """
@@ -228,10 +226,6 @@ class World:
         """Top-down pinch of ``obj`` at its grasp height above its origin."""
         offset = np.array([0.0, 0.0, self.carried(obj)[2]])
         return GraspSpec(Transform(tool_down_rotation(), offset), f"pinch-{obj}")
-
-    def grasp_hold_chain(self, obj: str, arm_name: str, q):
-        """Carrying ``obj`` in the pinch grasp, loaded by its own weight."""
-        return self.pinch_carry_chain(*self.carried(obj), arm_name, q)
 
 
 # ---- streams ---------------------------------------------------------------
@@ -293,13 +287,13 @@ def common_schemas(world: World, price) -> list:
     """``move`` and ``pick``.
 
     Picking pays for carrying the object: ``price(chain, wrench)`` of
-    ``world.grasp_hold_chain(?o, ?a, ?q)``.
+    ``world.carry_chain(*world.carried(?o), ?a, ?q)``.
     """
 
     def pick_cost(binding):
-        return price(
-            *world.grasp_hold_chain(binding["?o"], binding["?a"], binding["?q"].payload)
-        )
+        return price(*world.carry_chain(
+            *world.carried(binding["?o"]), binding["?a"], binding["?q"].payload
+        ))
 
     return [
         ActionSchema(
@@ -324,16 +318,17 @@ def common_schemas(world: World, price) -> list:
     ]
 
 
-def twist_schemas(world: World, prefix: str, goal: tuple, disable, price):
-    """One twist schema per offered strategy and route, ``{prefix}--{s}--{r}``.
+def twist_schemas(world: World, prefix: str, goal: tuple, price) -> list:
+    """One twist schema per strategy and route the world offers.
 
-    A schema joins its strategy's ``world.STRATEGY_PARTS`` fragments with
-    its route's ``world.ROUTE_PARTS`` and adds ``goal``.  A route that
-    binds a holding arm ``?h`` keeps it apart from the twisting arm ``?a``.
-    A variant costs ``price(chain, wrench)`` of its hand chain plus that of
-    its fixture chain; the fixture chain is not priced once the hand chain
-    fails for sure.  Returns the schemas and ``twist_names``, which maps
-    each schema name to (strategy, route).
+    Each schema is named ``{prefix}--{strategy}--{route}``; ``plan_summary``
+    reads the names back.  A schema joins its strategy's
+    ``world.STRATEGY_PARTS`` fragments with its route's
+    ``world.ROUTE_PARTS`` and adds ``goal``.  A route that binds a holding
+    arm ``?h`` keeps it apart from the twisting arm ``?a``.  A variant costs
+    ``price(chain, wrench)`` of its hand chain plus that of its fixture
+    chain; the fixture chain is not priced once the hand chain fails for
+    sure.
     """
 
     def variant_cost(strategy, route):
@@ -345,17 +340,14 @@ def twist_schemas(world: World, prefix: str, goal: tuple, disable, price):
 
         return cost
 
-    strategies, routes = world.offered(disable)
-    schemas, twist_names = [], {}
-    for strategy in strategies:
+    schemas = []
+    for strategy in world.strategies:
         s_static, s_fluent = world.STRATEGY_PARTS[strategy]
-        for route in routes:
+        for route in world.routes:
             r_static, r_fluent = world.ROUTE_PARTS[route]
-            name = f"{prefix}--{strategy}--{route}"
-            twist_names[name] = (strategy, route)
             schemas.append(
                 ActionSchema(
-                    name=name,
+                    name=f"{prefix}--{strategy}--{route}",
                     static_pre=s_static + r_static,
                     fluent_pre=s_fluent + r_fluent,
                     add=(goal,),
@@ -364,21 +356,16 @@ def twist_schemas(world: World, prefix: str, goal: tuple, disable, price):
                     cost_fn=variant_cost(strategy, route),
                 )
             )
-    return schemas, twist_names
+    return schemas
 
 
-def plan_summary(result, twist_names: dict) -> dict:
-    """Strategy, route, and step count of a solved plan."""
-    out = {
-        "solved": result.solved,
-        "steps": len(result.plan) if result.solved else 0,
-        "cost": result.cost,
-        "strategy": "",
-        "route": "",
-    }
-    if result.solved:
-        for ga in result.plan:
-            if ga.schema.name in twist_names:
-                out["strategy"], out["route"] = twist_names[ga.schema.name]
-                break
-    return out
+def plan_summary(result) -> tuple:
+    """``(strategy, route)`` of the plan's first twist step.
+
+    ``("", "")`` when there is no plan or it has no twist step.
+    """
+    for ga in result.plan or ():
+        parts = ga.schema.name.split("--")
+        if len(parts) == 3:
+            return parts[1], parts[2]
+    return "", ""

@@ -3,7 +3,8 @@
 Run with ``pytest -v tests/test_acceptance.py`` to get a pass/fail line per
 guarantee: ablation plan lengths, the patch limit-surface formula, cone
 membership against linear programming, Jacobian consistency, robustness
-curve shapes, planner optimality/determinism, and Monte-Carlo calibration.
+curve shapes, planner optimality/determinism, Monte-Carlo calibration, and
+noise raising the press force a plan chooses.
 """
 
 from __future__ import annotations
@@ -276,10 +277,8 @@ def test_robustness_curves_have_expected_shapes(tmp_path):
     # slat poorly and the heavy one cannot be carried.
     scenario = load_scenario(SCENARIOS / "nut_default.json")
     resolved = resolve_stage(scenario, 1)
-    world = nut.build_world(resolved.scene, resolved.operation)
-    problem, _ = nut.build_problem(
-        world, resolved.spec, seed=resolved.seed, disable=resolved.disable
-    )
+    world = nut.build_world(resolved.scene, resolved.operation, resolved.disable)
+    problem = nut.build_problem(world, resolved.spec, seed=resolved.seed)
     result = solve(
         problem,
         max_levels=resolved.budget["max_levels"],
@@ -492,3 +491,26 @@ def test_failure_estimate_matches_gaussian_tail():
     p_hat = success_probability(chain, w, spec, seed=11)
     p_true = normal_cdf((1.0 - force / (normal * mu)) / 0.1)
     assert p_hat == pytest.approx(p_true, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# 8. Robustness changes the parameters: the same bottle scene planned with
+#    the default noise and without any, same strategy and route, but a
+#    harder press on the cap under noise.
+
+
+def test_noise_raises_the_chosen_press_force(tmp_path):
+    planned = {}
+    for stage in ("robust", "nominal"):
+        out = tmp_path / f"{stage}.json"
+        argv = ["solve", str(SCENARIOS / "bottle_robust.json"), "--stage", stage]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        (twist,) = [s for s in payload["plan"]["steps"] if s["action"].startswith("twist-")]
+        (press,) = [a["payload"] for a in twist["args"] if a.get("kind") == "e"]
+        planned[stage] = (payload["strategy"], payload["route"], press)
+    # Noise raises the extra press force by one step of the 15 N grid.
+    assert planned == {
+        "robust": ("wrap-grip", "table-friction", 30.0),
+        "nominal": ("wrap-grip", "table-friction", 15.0),
+    }

@@ -26,8 +26,8 @@ def make_cfg(**over):
     return cfg
 
 
-def make_world(**over):
-    return bottle.build_world(make_cfg(**over), dict(bottle.OPERATION_DEFAULTS))
+def make_world(disable=(), **over):
+    return bottle.build_world(make_cfg(**over), dict(bottle.OPERATION_DEFAULTS), disable)
 
 
 def spin_margin(normal, mu, radius, torque=0.2):
@@ -131,7 +131,7 @@ class TestCarryChain:
         q = world.reach(
             "arm0", compose(world.bottle_pose, grasp.offset)
         )
-        chain, w = world.grasp_hold_chain("bottle", "arm0", q)
+        chain, w = world.carry_chain(*world.carried("bottle"), "arm0", q)
         verdict = chain_stable(chain, w)
         assert verdict.stable and verdict.margin > 0.5
         assert chain_cost(chain, w, PerturbationSpec(), seed=0) == 0.0
@@ -142,17 +142,20 @@ class TestCarryChain:
         q = world.reach(
             "arm0", compose(world.bottle_pose, grasp.offset)
         )
-        chain, w = world.grasp_hold_chain("bottle", "arm0", q)
+        chain, w = world.carry_chain(*world.carried("bottle"), "arm0", q)
         assert not chain_stable(chain, w).stable
 
 
 class TestOffered:
     def test_default_scene_offers_every_strategy_and_route(self):
-        assert make_world().offered(()) == (list(bottle.STRATEGIES), list(bottle.ROUTES))
+        world = make_world()
+        assert (world.strategies, world.routes) == (
+            list(bottle.STRATEGIES), list(bottle.ROUTES)
+        )
 
     def test_missing_scene_pieces_and_disable_remove_names(self):
-        world = make_world(tool=False, arms=["arm0"], mat=False)
-        assert world.offered(("palm-press",)) == (
+        world = make_world(tool=False, arms=["arm0"], mat=False, disable=("palm-press",))
+        assert (world.strategies, world.routes) == (
             ["wrap-grip", "fingertip-press"],
             ["table-friction", "vise-hold"],
         )
@@ -161,43 +164,41 @@ class TestOffered:
 class TestPlanning:
     def test_default_scene_four_step_twist(self):
         world = make_world()
-        problem, names = bottle.build_problem(world, PerturbationSpec(), seed=0)
+        problem = bottle.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem)
         assert result.solved
-        summary = plan_summary(result, names)
-        assert summary["steps"] == 4
-        assert summary["strategy"] == "wrap-grip"
-        assert summary["route"] == "table-friction"
+        strategy, route = plan_summary(result)
+        assert len(result.plan) == 4
+        assert strategy == "wrap-grip"
+        assert route == "table-friction"
         assert result.cost == pytest.approx(4 * STEP_COST, abs=1e-12)
         ok, msg = validate_plan(problem, result.plan, result.cost)
         assert ok, msg
 
     def test_slippery_table_hands_bottle_to_second_arm(self):
-        world = make_world(friction={"bottle-table": 0.08})
-        problem, names = bottle.build_problem(
-            world, PerturbationSpec(), seed=0,
+        world = make_world(
+            friction={"bottle-table": 0.08},
             disable=("palm-press", "fingertip-press", "twist-tool"),
         )
+        problem = bottle.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem)
         assert result.solved
-        summary = plan_summary(result, names)
-        assert summary["steps"] == 6
-        assert summary["route"] == "arm-hold"
+        _, route = plan_summary(result)
+        assert len(result.plan) == 6
+        assert route == "arm-hold"
         assert any(ga.schema.name == "steady-grasp" for ga in result.plan)
 
     def test_lone_arm_without_hands_or_mat_uses_tool(self):
         world = make_world(
-            bottle_xy=[0.0, -0.22], start_surface="mat", arms=["arm0"], vise=False
-        )
-        problem, names = bottle.build_problem(
-            world, PerturbationSpec(), seed=0,
+            bottle_xy=[0.0, -0.22], start_surface="mat", arms=["arm0"], vise=False,
             disable=("wrap-grip", "palm-press", "fingertip-press"),
         )
+        problem = bottle.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem)
         assert result.solved
-        summary = plan_summary(result, names)
-        assert summary["steps"] == 8
-        assert summary["strategy"] == "twist-tool"
+        strategy, _ = plan_summary(result)
+        assert len(result.plan) == 8
+        assert strategy == "twist-tool"
         actions = [ga.schema.name for ga in result.plan]
         assert actions.count("pick") == 1 and actions.count("place") == 1
         ok, msg = validate_plan(problem, result.plan, result.cost)
@@ -208,8 +209,8 @@ class TestPlanning:
             arms=["arm0"], mat=False, vise=False, tool=False,
             friction={"bottle-table": 0.08},
         )
-        problem, names = bottle.build_problem(world, PerturbationSpec(), seed=0)
+        problem = bottle.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem, max_levels=4)
         assert not result.solved
-        assert plan_summary(result, names)["steps"] == 0
+        assert plan_summary(result) == ("", "")
 

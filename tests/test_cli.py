@@ -35,6 +35,8 @@ PLAN_PINS = {
     ("nut_default", "two-arms"): "558db13880b44b6c8c6edc32910668379dbf4214c3aaeeb230cabb6c6ab77e67",
     ("nut_default", "one-arm"): "38d05737297cbb3f62779817d380074ed6dd6cd8d40d011fba9f403c26d355d3",
     ("nut_stiff", "full"): "c37c944b8443474d99150f282630dee8a647918a1eaf8c0eec18d746a631739a",
+    ("bottle_robust", "robust"): "7cca4d6abfdad205f9848580cd8ec2beba11d391bc6e226d6c225ad3dc7580e8",
+    ("bottle_robust", "nominal"): "33bf00ed4d41314b88ab38da5b7ea4187fbe23f90c9db775803096c998983310",
 }
 
 
@@ -83,9 +85,9 @@ class TestSolve:
         build = bottle.build_problem
 
         def build_problem(world, *args, **kwargs):
-            problem, names = build(world, *args, **kwargs)
+            problem = build(world, *args, **kwargs)
             problem.statics.insert(0, ("Spare", Value("pose", world.bottle_pose)))
-            return problem, names
+            return problem
 
         monkeypatch.setattr(bottle, "build_problem", build_problem)
         out = tmp_path / "plan.json"
@@ -386,8 +388,10 @@ class TestRobustness:
 
     def test_bad_sweep_spec_exits_1(self, capsys):
         scenario = str(SCENARIOS / "nut_default.json")
-        # A count numpy cannot allocate is refused before any grid is built.
-        for spec in ("zebra", "0:1:1000000000000"):
+        # A count numpy cannot allocate is refused before any grid is built,
+        # and so is one too long to finish in useful time.
+        for spec in ("zebra", "0:1:1000000000000", "0:1:10001"):
             assert main(["robustness", scenario, "--sweep", spec]) == 1
             err = capsys.readouterr().err
             assert "sweep" in err and "Traceback" not in err
+        assert "--sweep count must be at most 10000" in err

@@ -27,10 +27,10 @@ def make_cfg(**over):
     return cfg
 
 
-def make_world(op=None, **over):
+def make_world(op=None, disable=(), **over):
     operation = dict(nut.OPERATION_DEFAULTS)
     operation.update(op or {})
-    return nut.build_world(make_cfg(**over), operation)
+    return nut.build_world(make_cfg(**over), operation, disable)
 
 
 class TestTwistChains:
@@ -130,7 +130,7 @@ class TestCarrying:
                 "arm0", compose(world.object_pose(wname), grasp.offset)
             )
             assert q is not None, wname
-            chain, w = world.grasp_hold_chain(wname, "arm0", q)
+            chain, w = world.carry_chain(*world.carried(wname), "arm0", q)
             margins[wname] = chain_stable(chain, w)
             if wname == "w3":
                 assert math.isinf(chain_cost(chain, w, spec, seed=0))
@@ -142,35 +142,36 @@ class TestCarrying:
 
 class TestOffered:
     def test_default_scene_offers_every_strategy_and_route(self):
-        assert make_world().offered(()) == (list(nut.STRATEGIES), list(nut.ROUTES))
+        world = make_world()
+        assert (world.strategies, world.routes) == (list(nut.STRATEGIES), list(nut.ROUTES))
 
     def test_missing_scene_pieces_and_disable_remove_names(self):
-        world = make_world(spanner=False, arms=["arm0"])
-        assert world.offered(("rest-hold",)) == (["finger-twist"], ["weight-hold"])
+        world = make_world(spanner=False, arms=["arm0"], disable=("rest-hold",))
+        assert (world.strategies, world.routes) == (["finger-twist"], ["weight-hold"])
 
 
 class TestPlanning:
     def test_two_arms_pin_the_slat_and_twist(self):
         world = make_world()
-        problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
+        problem = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem)
         assert result.solved
-        summary = plan_summary(result, names)
-        assert summary["steps"] == 4
-        assert summary["strategy"] == "finger-twist"
-        assert summary["route"] == "arm-hold"
+        strategy, route = plan_summary(result)
+        assert len(result.plan) == 4
+        assert strategy == "finger-twist"
+        assert route == "arm-hold"
         assert result.cost == pytest.approx(4 * STEP_COST, abs=1e-12)
         ok, msg = validate_plan(problem, result.plan, result.cost)
         assert ok, msg
 
     def test_lone_arm_ballasts_the_slat_with_the_middle_weight(self):
         world = make_world(arms=["arm0"])
-        problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
+        problem = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem)
         assert result.solved
-        summary = plan_summary(result, names)
-        assert summary["steps"] == 6
-        assert summary["route"] == "weight-hold"
+        _, route = plan_summary(result)
+        assert len(result.plan) == 6
+        assert route == "weight-hold"
         picked = [ga.args[1] for ga in result.plan if ga.schema.name == "pick"]
         assert picked == ["w2"]
         ok, msg = validate_plan(problem, result.plan, result.cost)
@@ -178,13 +179,13 @@ class TestPlanning:
 
     def test_stiff_nut_needs_the_spanner(self):
         world = make_world(op={"torque": 0.9})
-        problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
+        problem = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem)
         assert result.solved
-        summary = plan_summary(result, names)
-        assert summary["steps"] == 6
-        assert summary["strategy"] == "spanner-twist"
-        assert summary["route"] == "arm-hold"
+        strategy, route = plan_summary(result)
+        assert len(result.plan) == 6
+        assert strategy == "spanner-twist"
+        assert route == "arm-hold"
         actions = [ga.schema.name for ga in result.plan]
         assert "pick" in actions and "steady-grasp-beam" in actions
 
@@ -192,7 +193,7 @@ class TestPlanning:
         # On a frictionless table every one-arm route prices the twist
         # infinite, and such actions never reach the search.
         world = make_world(arms=["arm0"], friction={"beam-table": 0.0})
-        problem, _ = nut.build_problem(world, PerturbationSpec(), seed=0)
+        problem = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem)
         assert not result.solved
         assert result.diagnostic == (
@@ -202,6 +203,6 @@ class TestPlanning:
 
     def test_stiff_nut_without_spanner_is_unsolvable(self):
         world = make_world(op={"torque": 0.9}, spanner=False)
-        problem, names = nut.build_problem(world, PerturbationSpec(), seed=0)
+        problem = nut.build_problem(world, PerturbationSpec(), seed=0)
         result = solve(problem, max_levels=4)
         assert not result.solved

@@ -335,10 +335,8 @@ class TestShippedWork:
     def test_cost_and_stream_calls_levels_and_expansions(self, scenario, work):
         resolved = resolve_stage(load_scenario(str(SCENARIOS / f"{scenario}.json")), 0)
         module = DOMAINS[resolved.domain]
-        world = module.build_world(resolved.scene, resolved.operation)
-        problem, _ = module.build_problem(
-            world, resolved.spec, seed=resolved.seed, disable=resolved.disable
-        )
+        world = module.build_world(resolved.scene, resolved.operation, resolved.disable)
+        problem = module.build_problem(world, resolved.spec, seed=resolved.seed)
         calls = {"cost": 0, "stream": 0}
 
         def counted(kind, fn):

@@ -1,4 +1,4 @@
-"""The shared twist-schema generator on a stub world."""
+"""The shared twist-schema generator and plan summary on a stub world."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import math
 from pathlib import Path
 
 from forceplan.domains import DOMAINS
-from forceplan.domains.scene import World, twist_schemas
+from forceplan.domains.scene import World, plan_summary, twist_schemas
+from forceplan.planner import ActionSchema, GroundAction, SolveResult
 from forceplan.scenario import load_scenario, resolve_stage
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -21,14 +22,10 @@ class StubWorld(World):
     }
     ROUTE_PARTS = {"hold": ((), ())}
 
-    def __init__(self):
+    def __init__(self, strategies=("grip", "press")):
         self.built = []
-
-    def strategy_available(self, strategy):
-        return True
-
-    def route_available(self, route):
-        return True
+        self.strategies = list(strategies)
+        self.routes = ["hold"]
 
     def hand_chain(self, strategy, binding):
         self.built.append(("hand", strategy))
@@ -42,13 +39,8 @@ class StubWorld(World):
 def test_fixture_chain_is_skipped_once_the_hand_chain_fails():
     world = StubWorld()
     prices = {"grip": math.inf, "press": 0.25, "hold": 0.5}
-    schemas, names = twist_schemas(
-        world, "twist", ("Done",), (), lambda chain, w: prices[chain]
-    )
-    assert names == {
-        "twist--grip--hold": ("grip", "hold"),
-        "twist--press--hold": ("press", "hold"),
-    }
+    schemas = twist_schemas(world, "twist", ("Done",), lambda chain, w: prices[chain])
+    assert [s.name for s in schemas] == ["twist--grip--hold", "twist--press--hold"]
     grip, press = schemas
     assert math.isinf(grip.cost_fn({"?a": "arm0"}))
     assert world.built == [("hand", "grip")]
@@ -57,21 +49,49 @@ def test_fixture_chain_is_skipped_once_the_hand_chain_fails():
 
 
 def test_disabled_names_get_no_schema():
-    schemas, names = twist_schemas(
-        StubWorld(), "twist", ("Done",), ("grip",), lambda chain, w: 0.0
+    # A world offers only its stage's strategies; the others get no schema.
+    schemas = twist_schemas(
+        StubWorld(strategies=["press"]), "twist", ("Done",), lambda chain, w: 0.0
     )
     assert [s.name for s in schemas] == ["twist--press--hold"]
-    assert names == {"twist--press--hold": ("press", "hold")}
+
+
+def ground(schema):
+    return GroundAction(schema, {p: "arm0" for p in schema.params}, 0.0)
+
+
+def test_plan_summary_reads_the_first_twist_step():
+    grip, press = twist_schemas(StubWorld(), "twist", ("Done",), lambda chain, w: 0.0)
+    noop = ActionSchema("noop", static_pre=(), fluent_pre=(), add=(), delete=())
+    plan = [ground(noop), ground(press), ground(grip)]
+    assert plan_summary(SolveResult(plan, 0.0, 0, 0)) == ("press", "hold")
+
+
+def test_plan_summary_is_empty_without_a_plan_or_a_twist_step():
+    noop = ActionSchema("noop", static_pre=(), fluent_pre=(), add=(), delete=())
+    assert plan_summary(SolveResult([ground(noop)], 0.0, 0, 0)) == ("", "")
+    assert plan_summary(SolveResult(None, math.inf, 0, 0)) == ("", "")
 
 
 def shipped_schemas(scenario):
     resolved = resolve_stage(load_scenario(SCENARIOS / scenario), 0)
     module = DOMAINS[resolved.domain]
-    world = module.build_world(resolved.scene, resolved.operation)
-    problem, _ = module.build_problem(
-        world, resolved.spec, seed=resolved.seed, disable=resolved.disable
-    )
+    world = module.build_world(resolved.scene, resolved.operation, resolved.disable)
+    problem = module.build_problem(world, resolved.spec, seed=resolved.seed)
     return {s.name: s for s in problem.schemas}
+
+
+def test_twist_names_split_into_prefix_strategy_and_route():
+    # plan_summary splits a schema name at "--": no part may contain it.
+    for module in DOMAINS.values():
+        assert not [n for n in module.STRATEGIES + module.ROUTES if "--" in n]
+    for scenario, prefix in (("bottle_default.json", "twist-cap"),
+                             ("nut_default.json", "twist-nut")):
+        names = list(shipped_schemas(scenario))
+        twists = [n.split("--") for n in names if "--" in n]
+        assert twists and all(len(parts) == 3 for parts in twists)
+        assert {parts[0] for parts in twists} == {prefix}
+        assert [n for n in names if n.startswith("twist-") and "--" not in n] == []
 
 
 def test_shipped_twist_params_come_from_their_static_facts():
