@@ -173,6 +173,8 @@ def _bottle_rows(world, resolved, spec, grid):
 
 def _nut_rows(world, resolved, spec, grid):
     """Rows of the weight hold and, if the first arm reaches the spot, the carry."""
+    if "weight-hold" not in world.routes:
+        raise ConfigError("the mass sweep needs the 'weight-hold' route, which is disabled")
     if not world.cfg["weight_spots"]:
         raise ConfigError("'scene.weight_spots' must name a spot for the mass sweep")
     if grid is None:
@@ -229,8 +231,10 @@ def cmd_robustness(args) -> int:
 def _check_args(args):
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
-    if getattr(args, "samples", 1) < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= getattr(args, "samples", 1) <= MAX_MAGNITUDE:
+        raise ConfigError(
+            f"--samples must be between 1 and {MAX_MAGNITUDE:g}, got {args.samples}"
+        )
 
 
 def main(argv=None) -> int:

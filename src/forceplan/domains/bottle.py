@@ -26,8 +26,6 @@ from .scene import (
     common_schemas,
     connect_stream,
     grasp_streams,
-    pad_frame,
-    pad_grasp_joint,
     reach_stream,
     tool_down_rotation,
     twist_schemas,
@@ -188,14 +186,11 @@ class BottleWorld(World):
         joints = [(patch, Transform.identity())]
         ee_offset = (0.0, 0.0, 0.0)
         if strategy == "twist-tool":
-            pads = pad_grasp_joint(
-                self.mu("hand-tool"),
-                cfg["tool_pad_half_extents"],
-                cfg["tool_grip_force"],
-                contact_frame="tool_pads",
-            )
             ee_offset = (0.0, 0.0, cfg["tool_tip_below_pads"])
-            joints.append((pads, pad_frame([1.0, 0.0, 0.0], ee_offset)))
+            joints.append(self.pad_link(
+                "hand-tool", cfg["tool_pad_half_extents"], cfg["tool_grip_force"],
+                "tool_pads", [1.0, 0.0, 0.0], ee_offset,
+            ))
         joints.append(self.arm_link(arm_name, q, ee_offset))
         chain = ForcefulKinematicChain("cap", tuple(joints))
         return chain, self.cap_wrench(extra)

@@ -24,12 +24,9 @@ from ..stability import (
 )
 from .scene import (
     World,
-    beam_corner_forces,
     common_schemas,
     connect_stream,
     grasp_streams,
-    pad_frame,
-    pad_grasp_joint,
     reach_stream,
     tool_down_rotation,
     twist_schemas,
@@ -158,15 +155,11 @@ class NutWorld(World):
         elif strategy == "spanner-twist":
             # Hex socket: form closed about the twist axis.
             joints.append((RigidJoint("socket"), Transform.identity()))
-            pads = pad_grasp_joint(
-                self.mu("hand-spanner"),
-                cfg["hand_pad_half_extents"],
-                cfg["spanner_grip_force"],
-                contact_frame="spanner_pads",
-            )
-            to_handle = (-cfg["spanner_handle_length"], 0.0, 0.0)
-            joints.append((pads, pad_frame([0.0, 0.0, 1.0], to_handle)))
-            ee_offset = to_handle
+            ee_offset = (-cfg["spanner_handle_length"], 0.0, 0.0)
+            joints.append(self.pad_link(
+                "hand-spanner", cfg["hand_pad_half_extents"], cfg["spanner_grip_force"],
+                "spanner_pads", [0.0, 0.0, 1.0], ee_offset,
+            ))
         else:
             raise KeyError(strategy)
         joints.append(self.arm_link(arm_name, q, ee_offset))
@@ -191,9 +184,26 @@ class NutWorld(World):
             mass, spot = load
         else:
             raise KeyError(route)
-        corners, forces = beam_corner_forces(
-            cfg["beam_length"], cfg["beam_width"], cfg["beam_mass"], mass, spot
+        # The slat's own weight splits evenly over its corners; the load
+        # splits between the end pairs by the lever rule, like a simply
+        # supported beam.  Corners are ordered (+x+y, -x+y, -x-y, +x-y)
+        # with x along the slat.
+        length, half_width = cfg["beam_length"], cfg["beam_width"] / 2.0
+        half = length / 2.0
+        corners = np.array(
+            [
+                [half, half_width, 0.0],
+                [-half, half_width, 0.0],
+                [-half, -half_width, 0.0],
+                [half, -half_width, 0.0],
+            ]
         )
+        forces = np.full(4, cfg["beam_mass"] * GRAVITY / 4.0)
+        if mass > 0.0:
+            right = mass * GRAVITY * (spot + half) / length
+            left = mass * GRAVITY - right
+            forces[[1, 2]] += left / 2.0
+            forces[[0, 3]] += right / 2.0
         total = (cfg["beam_mass"] + mass) * GRAVITY
         patch = PolygonPatchJoint(
             mu=self.mu("beam-table"),

@@ -10,18 +10,20 @@ A world is built for one stage and knows which variants it offers.
 ``World`` makes the decisions the domains share: how a variant is named
 and priced, and how a carried object is grasped and loads the hand.  A
 domain's world supplies only the facts behind them.
-Also here: grasp targets, the arm link, the per-arm initial facts, the
-common streams and schemas, the twist-schema generator, and the plan
-summary.
+Also here: grasp targets, the pad and arm links (``World.pad_link`` and
+``World.arm_link``), the per-arm initial facts, the common streams and
+schemas, the twist-schema generator, and the plan summary.
 
 Contact frame conventions used by the joint builders:
 
 * support patches (object resting on a surface) use a frame whose z axis
   points up out of the surface, so pressing loads arrive as negative z
   force and twisting loads as z moment;
-* pad grasps (parallel-jaw fingers) use a frame whose z axis is the pad
-  normal; the pad patch carries the squeeze as its preload, pressing along
-  -z, so the friction cone test sees the correct normal balance.
+* ``World.pad_link`` builds a pad grasp (parallel-jaw fingers) in a frame
+  whose z axis is the pad normal and whose x axis is the world's up
+  projected off that normal (world x when the normal is vertical); the
+  pad patch carries the squeeze as its preload, pressing along -z, so the
+  friction cone test sees the correct normal balance.
 """
 
 from __future__ import annotations
@@ -34,21 +36,12 @@ import numpy as np
 from ..planner import ActionSchema, Stream, Value
 from ..robot import default_arm, ik
 from ..spatial import Transform, Wrench, compose, rot_y
-from ..stability import (
-    GRAVITY,
-    ArmJoint,
-    ForcefulKinematicChain,
-    PolygonPatchJoint,
-    beam_support_forces,
-)
+from ..stability import GRAVITY, ArmJoint, ForcefulKinematicChain, PolygonPatchJoint
 
 __all__ = [
     "World",
     "GraspSpec",
     "tool_down_rotation",
-    "pad_frame",
-    "pad_grasp_joint",
-    "beam_corner_forces",
     "reach_stream",
     "grasp_streams",
     "connect_stream",
@@ -61,74 +54,6 @@ __all__ = [
 def tool_down_rotation() -> np.ndarray:
     """Hand orientation with the tool axis pointing at the floor."""
     return rot_y(np.pi)
-
-
-def pad_frame(normal_world, app_to_pad_world) -> Transform:
-    """Transform from an application frame into a pad test frame.
-
-    ``normal_world`` is the pad normal; ``app_to_pad_world`` the vector
-    from the application origin to the pad center, both in world axes
-    (the application frame is assumed world-aligned).
-    """
-    n = np.asarray(normal_world, dtype=float)
-    n = n / np.linalg.norm(n)
-    up = np.array([0.0, 0.0, 1.0])
-    x = up - np.dot(up, n) * n
-    if np.linalg.norm(x) < 1e-9:
-        x = np.array([1.0, 0.0, 0.0]) - n[0] * n
-    x = x / np.linalg.norm(x)
-    y = np.cross(n, x)
-    rot = np.vstack([x, y, n])
-    translation = rot @ (-np.asarray(app_to_pad_world, dtype=float))
-    return Transform(rot, translation)
-
-
-def pad_grasp_joint(mu, half_extents, squeeze_force, contact_frame=""):
-    """Parallel-jaw grasp folded into one preloaded pad patch.
-
-    Both fingers squeeze with ``squeeze_force``, so the preload pressing
-    the object against the pad plane is twice that.
-    """
-    hx, hy = float(half_extents[0]), float(half_extents[1])
-    corners = np.array(
-        [[hx, hy, 0.0], [-hx, hy, 0.0], [-hx, -hy, 0.0], [hx, -hy, 0.0]]
-    )
-    per_corner = float(squeeze_force) / 2.0
-    return PolygonPatchJoint(
-        mu=mu,
-        corners=corners,
-        corner_normal_forces=[per_corner] * 4,
-        contact_frame=contact_frame,
-        preload=Wrench([0.0, 0.0, -2.0 * float(squeeze_force)], [0.0, 0.0, 0.0]),
-    )
-
-
-def beam_corner_forces(length, width, slat_mass, load_mass, load_center):
-    """Corner rectangle and per-corner forces for a slat resting on a table.
-
-    The slat's own weight splits evenly; a point load at ``load_center``
-    along the slat splits between the end pairs like a simply supported
-    beam.  Corners are ordered (+x+y, -x+y, -x-y, +x-y) with x along the
-    slat.
-    """
-    half = length / 2.0
-    corners = np.array(
-        [
-            [half, width / 2.0, 0.0],
-            [-half, width / 2.0, 0.0],
-            [-half, -width / 2.0, 0.0],
-            [half, -width / 2.0, 0.0],
-        ]
-    )
-    own = slat_mass * GRAVITY / 4.0
-    forces = np.full(4, own)
-    if load_mass > 0.0:
-        left, right = beam_support_forces(length, load_mass, load_center + half)
-        forces[1] += left / 2.0
-        forces[2] += left / 2.0
-        forces[0] += right / 2.0
-        forces[3] += right / 2.0
-    return corners, forces
 
 
 @dataclass(frozen=True)
@@ -157,6 +82,8 @@ class World:
     ``(chain, wrench)`` pairs as ``hand_chain`` and ``fixture_for``; and
     ``carried(obj)``, a graspable object's (mass, friction pair, grasp
     height), which ``carry_chain`` turns into the load on the hand.
+    Every chain link that is a pad grasp or an arm comes from ``pad_link``
+    or ``arm_link``, each as a ``(joint, transform)`` pair.
 
     The domain's ``build_world`` builds a world for one stage and sets
     ``strategies`` and ``routes``: the names the stage offers, in parts
@@ -202,6 +129,39 @@ class World:
         t = Transform(np.eye(3), -np.asarray(app_to_ee_world, dtype=float))
         return joint, t
 
+    def pad_link(self, pair: str, half_extents, squeeze, label: str, normal, to_pads):
+        """A parallel-jaw grasp folded into one preloaded pad patch, and the
+        transform from the world-aligned application frame into its test
+        frame.
+
+        ``pair`` names the pad friction, ``half_extents`` the pad rectangle
+        and ``label`` the contact frame.  Both fingers squeeze with
+        ``squeeze``, so the preload pressing the object against the pad
+        plane is twice that.  ``normal`` is the pad normal and ``to_pads``
+        the vector from the application origin to the pad center, both in
+        world axes.
+        """
+        hx, hy = float(half_extents[0]), float(half_extents[1])
+        corners = np.array(
+            [[hx, hy, 0.0], [-hx, hy, 0.0], [-hx, -hy, 0.0], [hx, -hy, 0.0]]
+        )
+        pads = PolygonPatchJoint(
+            mu=self.mu(pair),
+            corners=corners,
+            corner_normal_forces=[float(squeeze) / 2.0] * 4,
+            contact_frame=label,
+            preload=Wrench([0.0, 0.0, -2.0 * float(squeeze)], [0.0, 0.0, 0.0]),
+        )
+        n = np.asarray(normal, dtype=float)
+        n = n / np.linalg.norm(n)
+        up = np.array([0.0, 0.0, 1.0])
+        x = up - np.dot(up, n) * n
+        if np.linalg.norm(x) < 1e-9:
+            x = np.array([1.0, 0.0, 0.0]) - n[0] * n
+        x = x / np.linalg.norm(x)
+        rot = np.vstack([x, np.cross(n, x), n])
+        return pads, Transform(rot, rot @ (-np.asarray(to_pads, dtype=float)))
+
     def carry_chain(self, mass, pair, grasp_z, arm_name, q):
         """Carrying an object of ``mass`` in the pinch grasp, loaded by its
         own weight; ``pair`` names the pad friction and ``grasp_z`` is the
@@ -209,13 +169,12 @@ class World:
 
         The object's center of mass sits halfway up to the grasp height.
         """
-        pads = pad_grasp_joint(
-            self.mu(pair), self.cfg["hand_pad_half_extents"], self.cfg["grip_force"],
-            contact_frame="pads",
-        )
         to_pads = (0.0, 0.0, grasp_z / 2.0)
         joints = (
-            (pads, pad_frame([1.0, 0.0, 0.0], to_pads)),
+            self.pad_link(
+                pair, self.cfg["hand_pad_half_extents"], self.cfg["grip_force"],
+                "pads", [1.0, 0.0, 0.0], to_pads,
+            ),
             self.arm_link(arm_name, q, to_pads),
         )
         chain = ForcefulKinematicChain("obj", joints)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
-import sys
+import math
 from dataclasses import dataclass, fields
 
 from . import planner
@@ -119,15 +119,13 @@ def _checked_value(base, value, path: str):
         if not (isinstance(base, bool) and isinstance(value, bool)):
             raise ConfigError(f"'{path}' must be {type(base).__name__}")
         return value
-    if isinstance(base, int):
-        if not isinstance(value, int):
+    if isinstance(base, (int, float)):
+        if isinstance(base, int) and not isinstance(value, int):
             raise ConfigError(f"'{path}' must be an integer")
-        return value
-    if isinstance(base, float):
         if not isinstance(value, (int, float)):
             raise ConfigError(f"'{path}' must be a number")
-        # Python's json reads NaN and Infinity; NaN fails both comparisons.
-        if not -sys.float_info.max <= value <= sys.float_info.max:
+        # Python's json reads NaN and Infinity.
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"'{path}' must be a finite number")
         if abs(value) > MAX_MAGNITUDE:
             raise ConfigError(

@@ -61,7 +61,6 @@ __all__ = [
     "friction_cone_generators_batch",
     "in_convex_cone",
     "polygon_patch_verdicts",
-    "beam_support_forces",
     "torque_stable",
     "joint_stable",
     "chain_stable",
@@ -344,28 +343,6 @@ def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
             )
         verdicts[s] = _cone_feasible(-wrenches[s], g)[0]
     return verdicts
-
-
-def beam_support_forces(beam_length: float, load_mass: float, load_center: float):
-    """End reactions of a simply supported beam under a point load.
-
-    The load of weight ``load_mass * GRAVITY`` sits at ``load_center``
-    (measured from the left support), which must lie between the
-    supports.  Returns ``(left, right)`` reaction forces.
-    """
-    if beam_length <= 0:
-        raise ValueError("beam length must be positive")
-    if load_mass < 0:
-        raise ValueError("load mass must be nonnegative")
-    if load_center < -1e-12 or load_center > beam_length + 1e-12:
-        raise ValueError(
-            f"load at {load_center:.4f} m overhangs the supports "
-            f"of a {beam_length:.4f} m beam"
-        )
-    total = load_mass * GRAVITY
-    right = total * load_center / beam_length
-    left = total - right
-    return left, right
 
 
 def _circular_patch_stable(joint: CircularPatchJoint, w: Wrench) -> StabilityVerdict:

@@ -227,6 +227,7 @@ class TestArguments:
             (["robustness", "bottle_default.json", "--sweep=-100:0:3"], "--sweep"),
             (["robustness", "nut_default.json", "--sweep", "0:1e300:2"], "at most 1e+06"),
             (["robustness", "bottle_default.json", "--sweep", "0:2e6:3"], "at most 1e+06"),
+            (["robustness", "nut_default.json", "--samples", "1000001"], "--samples"),
         ],
     )
     def test_bad_arguments_exit_1(self, capsys, argv, reported):
@@ -353,27 +354,29 @@ class TestRobustness:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "domain, scene, code, shown",
+        "domain, entries, code, shown",
         [
-            ("bottle-cap", '{"arms": []}', 1, "'scene.arms'"),
-            ("nut-fastening", '{"arms": []}', 1, "'scene.arms'"),
-            ("nut-fastening", '{"weight_spots": []}', 1, "'scene.weight_spots'"),
+            ("bottle-cap", '"scene": {"arms": []}', 1, "'scene.arms'"),
+            ("nut-fastening", '"scene": {"arms": []}', 1, "'scene.arms'"),
+            ("nut-fastening", '"scene": {"weight_spots": []}', 1, "'scene.weight_spots'"),
+            ("nut-fastening", '"disable": ["weight-hold"]', 1, "'weight-hold'"),
             (
-                "bottle-cap", '{"bottle_xy": [3.0, 3.0]}', 0,
+                "bottle-cap", '"scene": {"bottle_xy": [3.0, 3.0]}', 0,
                 ["table-friction", "mat-friction", "arm-hold", "vise-hold"],
             ),
-            ("nut-fastening", '{"beam_center_xy": [3.0, 3.0]}', 0, ["weight-hold"]),
+            ("nut-fastening", '"scene": {"beam_center_xy": [3.0, 3.0]}', 0, ["weight-hold"]),
         ],
-        ids=["bottle-no-arms", "nut-no-arms", "nut-no-spots", "bottle-unreachable",
-             "nut-unreachable"],
+        ids=["bottle-no-arms", "nut-no-arms", "nut-no-spots", "nut-no-weight-hold",
+             "bottle-unreachable", "nut-unreachable"],
     )
     def test_scenes_without_a_usable_arm_or_spot(
-        self, tmp_path, capsys, domain, scene, code, shown
+        self, tmp_path, capsys, domain, entries, code, shown
     ):
         # A method whose hand target the arm cannot reach is left out; no
-        # arm at all, or no weight spot to sweep, is a scenario error.
+        # arm at all, no weight spot to sweep, or a disabled weight hold is
+        # a scenario error.
         bad = tmp_path / "scene.json"
-        bad.write_text(f'{{"domain": "{domain}", "scene": {scene}}}')
+        bad.write_text(f'{{"domain": "{domain}", {entries}}}')
         out = tmp_path / "rob.csv"
         argv = ["robustness", str(bad), "--samples", "10", "--out", str(out)]
         assert main(argv) == code

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from forceplan.domains import nut
-from forceplan.domains.scene import pad_grasp_joint, plan_summary
+from forceplan.domains import bottle, nut
+from forceplan.domains.scene import plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
 from forceplan.spatial import compose
-from forceplan.stability import RigidJoint, chain_stable
+from forceplan.stability import GRAVITY, RigidJoint, chain_stable
 
 
 def make_cfg(**over):
@@ -97,13 +97,52 @@ def corner_resultant(patch):
     return np.concatenate([loads.sum(axis=0), torque])
 
 
+def pad_links():
+    """Each pad link the domains build, with its pad normal and the vector
+    from the application origin to the pads."""
+    world = make_world()
+    q = np.zeros(world.arms["arm0"].dof)
+    mass, pair, grasp_z = world.carried("w2")
+    carry, _ = world.carry_chain(mass, pair, grasp_z, "arm0", q)
+    spanner, _ = world.twist_chain("spanner-twist", "arm0", q)
+    bottle_world = bottle.build_world(
+        dict(bottle.SCENE_DEFAULTS), dict(bottle.OPERATION_DEFAULTS)
+    )
+    tool, _ = bottle_world.twist_chain("twist-tool", 15.0, "arm0", q)
+    return {
+        "carry": (carry.joints[0], [1, 0, 0], (0.0, 0.0, grasp_z / 2.0)),
+        "twist-tool": (
+            tool.joints[1], [1, 0, 0],
+            (0.0, 0.0, bottle.SCENE_DEFAULTS["tool_tip_below_pads"]),
+        ),
+        "spanner": (
+            spanner.joints[1], [0, 0, 1],
+            (-nut.SCENE_DEFAULTS["spanner_handle_length"], 0.0, 0.0),
+        ),
+    }
+
+
+# Pad test frame rows (x, y, z = normal) for each pad normal: x is the
+# world's up projected off the normal, or world x for a vertical normal.
+PAD_ROTATIONS = {
+    (1, 0, 0): [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+    (0, 0, 1): [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
 class TestPreloads:
     """Each preload is the resultant of its patch's corner forces."""
 
     def test_pad_grasp(self):
-        pads = pad_grasp_joint(0.8, (0.03, 0.02), 80.0)
-        expected = corner_resultant(pads)
-        assert np.allclose(pads.preload.as_array(), expected, rtol=0, atol=1e-9)
+        for (pads, _), _, _ in pad_links().values():
+            expected = corner_resultant(pads)
+            assert np.allclose(pads.preload.as_array(), expected, rtol=0, atol=1e-9)
+
+    def test_pad_rotation_is_exact(self):
+        for (_, t), normal, to_pads in pad_links().values():
+            rot = np.array(PAD_ROTATIONS[tuple(normal)], dtype=float)
+            assert np.array_equal(t.rotation, rot)
+            assert np.array_equal(t.translation, rot @ -np.asarray(to_pads))
 
     @pytest.mark.parametrize(
         "load",
@@ -117,6 +156,44 @@ class TestPreloads:
         ((slat, _),) = chain.joints
         expected = corner_resultant(slat)
         assert np.allclose(slat.preload.as_array(), expected, rtol=0, atol=1e-9)
+
+
+def slat_forces(world, mass, spot):
+    chain, _ = world.fixture_chain("weight-hold", (mass, spot))
+    ((slat, _),) = chain.joints
+    return slat.corners, slat.corner_normal_forces
+
+
+class TestSlat:
+    """The slat rests on its four corners: its own weight splits evenly and
+    the load splits between the end pairs like a simply supported beam."""
+
+    def test_midspan_splits_evenly(self):
+        _, forces = slat_forces(make_world(), 2.0, 0.0)
+        assert forces == pytest.approx([(0.4 + 2.0) * GRAVITY / 4.0] * 4)
+
+    def test_quarter_span(self):
+        # A 2 kg load a quarter along a 1 m massless slat: 14.715 N on the
+        # near end pair, 4.905 N on the far one.
+        world = make_world(beam_length=1.0, beam_mass=0.0)
+        _, forces = slat_forces(world, 2.0, -0.25)
+        assert forces == pytest.approx([2.4525, 7.3575, 7.3575, 2.4525])
+
+    def test_forces_balance_the_weight_and_the_moment(self):
+        world = make_world()
+        half = nut.SCENE_DEFAULTS["beam_length"] / 2.0
+        slat_weight = nut.SCENE_DEFAULTS["beam_mass"] * GRAVITY
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            mass = rng.uniform(0.0, 10.0)
+            spot = rng.uniform(-half, half)
+            corners, forces = slat_forces(world, mass, spot)
+            assert np.all(forces >= 0.0)
+            assert forces.sum() == pytest.approx(slat_weight + mass * GRAVITY, abs=1e-9)
+            # Moment balance about the -x support.
+            lever = corners[:, 0] + half
+            expected = slat_weight * half + mass * GRAVITY * (spot + half)
+            assert forces @ lever == pytest.approx(expected, abs=1e-9)
 
 
 class TestCarrying:

@@ -215,6 +215,9 @@ class TestValues:
                 "bottle-cap", "operation.extra_force_levels", [0.0, 10**7],
                 "operation.extra_force_levels[1]",
             ),
+            ("nut-fastening", "scene.weight_spots", [0.0, -0.26], "scene.weight_spots[1]"),
+            ("bottle-cap", "perturbation.samples", 10**7, "perturbation.samples"),
+            ("nut-fastening", "budget.max_expansions", 10**7, "budget.max_expansions"),
         ],
     )
     def test_bad_values_name_the_dotted_path(self, domain, dotted, value, reported):

@@ -12,7 +12,6 @@ from forceplan.stability import (
     ForcefulKinematicChain,
     PolygonPatchJoint,
     RigidJoint,
-    beam_support_forces,
     chain_stable,
     friction_cone_generators,
     friction_cone_generators_batch,
@@ -228,36 +227,6 @@ class TestFrictionCone:
             if feasible != oracle and abs(margin) >= 1e-6:
                 mismatches += 1
         assert mismatches == 0
-
-
-class TestBeamSupports:
-    def test_midspan_splits_evenly(self):
-        left, right = beam_support_forces(1.0, 2.0, 0.5)
-        assert left == pytest.approx(9.81)
-        assert right == pytest.approx(9.81)
-
-    def test_quarter_span(self):
-        left, right = beam_support_forces(1.0, 2.0, 0.25)
-        assert left == pytest.approx(14.715)
-        assert right == pytest.approx(4.905)
-
-    def test_reactions_sum_to_weight(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            L = rng.uniform(0.2, 3.0)
-            m = rng.uniform(0.0, 10.0)
-            c = rng.uniform(0.0, L)
-            left, right = beam_support_forces(L, m, c)
-            assert left + right == pytest.approx(m * 9.81, abs=1e-9)
-            assert left >= -1e-12 and right >= -1e-12
-            # Moment balance about the left support.
-            assert right * L == pytest.approx(m * 9.81 * c, abs=1e-9)
-
-    def test_overhang_rejected(self):
-        with pytest.raises(ValueError):
-            beam_support_forces(1.0, 2.0, -0.05)
-        with pytest.raises(ValueError):
-            beam_support_forces(1.0, 2.0, 1.05)
 
 
 class TestJointStable:
