@@ -24,7 +24,6 @@ from ..stability import GRAVITY, CircularPatchJoint, ForcefulKinematicChain, Rig
 from .scene import (
     World,
     common_schemas,
-    connect_stream,
     grasp_streams,
     reach_stream,
     tool_down_rotation,
@@ -285,15 +284,20 @@ def build_problem(world: BottleWorld, spec: PerturbationSpec, seed: int = 0) -> 
             sample_placement,
         ),
         *grasp_streams(world),
-        reach_stream(
-            world, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
-            lambda b: world.twist_hand_target(b["?p"].payload),
-        ),
+    ]
+    # A reach is built only when a twist this stage offers reads its facts.
+    if any(s in world.strategies for s in HAND_STRATEGIES):
+        streams.append(
+            reach_stream(
+                world, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
+                lambda b: world.twist_hand_target(b["?p"].payload),
+            )
+        )
+    streams += [
         reach_stream(
             world, "reach-cap-removal", at_bottle, ("RemovalReady", "?a", "?p"),
             lambda b: world.cap_removal_target(b["?p"].payload),
         ),
-        connect_stream(),
         Stream("press-levels", (), (("Force", "?e"),), sample_force),
     ]
     if "twist-tool" in world.strategies:

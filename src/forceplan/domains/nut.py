@@ -25,7 +25,6 @@ from ..stability import (
 from .scene import (
     World,
     common_schemas,
-    connect_stream,
     grasp_streams,
     reach_stream,
     tool_down_rotation,
@@ -266,12 +265,15 @@ def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Pro
     # ---- streams ----------------------------------------------------------
 
     arm = (("Arm", "?a"),)
-    streams = [
-        *grasp_streams(world),
-        reach_stream(
-            world, "reach-nut", arm, ("NutReady", "?a"),
-            lambda b: world.nut_twist_target(),
-        ),
+    streams = grasp_streams(world)
+    if "finger-twist" in world.strategies:
+        streams.append(
+            reach_stream(
+                world, "reach-nut", arm, ("NutReady", "?a"),
+                lambda b: world.nut_twist_target(),
+            )
+        )
+    streams += [
         reach_stream(
             world, "reach-beam-grip", arm, ("BeamGripReady", "?a"),
             lambda b: world.beam_grasp_target(),
@@ -282,7 +284,6 @@ def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Pro
             ("SpotKin", "?a", "?w", "?u", "?g"),
             lambda b: world.weight_place_target(b["?u"].payload),
         ),
-        connect_stream(),
     ]
     if "spanner-twist" in world.strategies:
         streams.append(

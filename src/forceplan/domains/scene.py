@@ -5,7 +5,9 @@ placements, and the friction table, and solves IK for world-frame hand
 targets.  Both domains are one construction on top of it: a twist
 action variant for every hand strategy and fixture route the stage
 offers, priced by a hand-side chain and a fixture-side chain, plus the
-grasp, reach, move and pick plumbing that brings a hand to the work.
+grasp and reach streams and the move and pick actions that bring a hand to
+the work.  A move jumps between any two distinct configurations of
+one arm: no trajectory is sampled or checked, as no domain has obstacles.
 A world is built for one stage and knows which variants it offers.
 ``World`` makes the decisions the domains share: how a variant is named
 and priced, and how a carried object is grasped and loads the hand.  A
@@ -44,7 +46,6 @@ __all__ = [
     "tool_down_rotation",
     "reach_stream",
     "grasp_streams",
-    "connect_stream",
     "common_schemas",
     "twist_schemas",
     "plan_summary",
@@ -223,27 +224,11 @@ def grasp_streams(world: World) -> list:
     ]
 
 
-def connect_stream() -> Stream:
-    """Straight joint-space motion between two configurations of one arm."""
-
-    def sample_motion(binding):
-        if binding["?q1"] is binding["?q2"]:
-            return []
-        return [(np.stack([binding["?q1"].payload, binding["?q2"].payload]),)]
-
-    return Stream(
-        "connect",
-        (("Conf", "?a", "?q1"), ("Conf", "?a", "?q2")),
-        (("Motion", "?a", "?q1", "?t", "?q2"),),
-        sample_motion,
-    )
-
-
 # ---- schemas ---------------------------------------------------------------
 
 
 def common_schemas(world: World, price) -> list:
-    """``move`` and ``pick``.
+    """``move`` between two distinct ``Conf`` facts of one arm, and ``pick``.
 
     Picking pays for carrying the object: ``price(chain, wrench)`` of
     ``world.carry_chain(*world.carried(?o), ?a, ?q)``.
@@ -257,10 +242,11 @@ def common_schemas(world: World, price) -> list:
     return [
         ActionSchema(
             name="move",
-            static_pre=(("Motion", "?a", "?q1", "?t", "?q2"),),
+            static_pre=(("Conf", "?a", "?q1"), ("Conf", "?a", "?q2")),
             fluent_pre=(("AtConf", "?a", "?q1"),),
             add=(("AtConf", "?a", "?q2"),),
             delete=(("AtConf", "?a", "?q1"),),
+            neq=(("?q1", "?q2"),),
         ),
         ActionSchema(
             name="pick",

@@ -4,7 +4,7 @@ A problem couples three ingredients:
 
 * action schemas with static preconditions (facts that never change and
   gate grounding) and fluent preconditions/effects (facts the plan edits),
-* streams, which sample new typed values (grasps, configurations, paths)
+* streams, which sample new typed values (grasps, configurations)
   and certify static facts about them,
 * an initial fluent state and a ground conjunctive goal.
 

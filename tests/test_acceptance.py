@@ -3,8 +3,9 @@
 Run with ``pytest -v tests/test_acceptance.py`` to get a pass/fail line per
 guarantee: ablation plan lengths, the patch limit-surface formula, cone
 membership against linear programming, Jacobian consistency, robustness
-curve shapes, planner optimality/determinism, Monte-Carlo calibration, and
-noise raising the press force a plan chooses.
+curve shapes, planner optimality/determinism, Monte-Carlo calibration,
+noise raising the press force a bottle plan chooses, and noise raising the
+weight a nut plan ballasts the slat with.
 """
 
 from __future__ import annotations
@@ -513,4 +514,28 @@ def test_noise_raises_the_chosen_press_force(tmp_path):
     assert planned == {
         "robust": ("wrap-grip", "table-friction", 30.0),
         "nominal": ("wrap-grip", "table-friction", 15.0),
+    }
+
+
+# ---------------------------------------------------------------------------
+# 9. Robustness changes the nut's parameters: the one-arm nut scene planned
+#    with the default noise and without any, same strategy and route, but a
+#    heavier ballast on the slat under noise.
+
+
+def test_noise_raises_the_chosen_ballast_weight(tmp_path):
+    planned = {}
+    for stage in ("robust", "nominal"):
+        out = tmp_path / f"{stage}.json"
+        argv = ["solve", str(SCENARIOS / "nut_robust.json"), "--stage", stage]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        steps = payload["plan"]["steps"]
+        (pick,) = [s for s in steps if s["action"] == "pick"]
+        weight = pick["args"][1]["const"]
+        planned[stage] = (payload["strategy"], payload["route"], len(steps), weight)
+    # Noise trades the 0.5 kg weight for the 2 kg one.
+    assert planned == {
+        "robust": ("finger-twist", "weight-hold", 6, "w2"),
+        "nominal": ("finger-twist", "weight-hold", 6, "w1"),
     }

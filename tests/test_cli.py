@@ -23,20 +23,22 @@ SCENARIOS = ROOT / "scenarios"
 
 # sha256 of every shipped stage's plan file at its scenario seed.
 PLAN_PINS = {
-    ("bottle_default", "full"): "cc49c3293765ea5ad50556e33e53658dd4af9a260043b4ee5ecdec413c135dd4",
-    ("bottle_a1", "baseline"): "f7fa640f41e33f3a48eb9b76858cf035db623c30bf7f8ef88c80562e25b40bb6",
-    ("bottle_a1", "slippery-table"): "eca9465ecc70fc58b607248e51b1e34ddddf135979df31d96cc2522768e5dea3",
-    ("bottle_a1", "one-arm"): "b81507b13ca5b35bdd4136f88d73ada710f50609d5be69937fc29edd84faac07",
-    ("bottle_a1", "no-mat"): "48b7ca2e66392ed3e99f9b6410a8073c737c234140ebba055f235edb4081b682",
-    ("bottle_a2", "all-hands"): "01adf9d3b1f782ba4aff7d443a4c5a9e90d82829208e99ee0bb4863e4f3cc145",
-    ("bottle_a2", "no-wrap"): "2437943b70fce49067e77ab061fb226bf9cb20a07f8454adc90aa391dd03ca2d",
-    ("bottle_a2", "fingertips-only"): "6065af306b1b369e5538f4786c9bf3bdab302ddc654f0269ccfbd7b08fc5a208",
-    ("bottle_a2", "tool-only"): "12b1ac18e7da7c29fce3016d611521cc8869b541defe1c230d3bd75111a91b26",
-    ("nut_default", "two-arms"): "558db13880b44b6c8c6edc32910668379dbf4214c3aaeeb230cabb6c6ab77e67",
-    ("nut_default", "one-arm"): "38d05737297cbb3f62779817d380074ed6dd6cd8d40d011fba9f403c26d355d3",
-    ("nut_stiff", "full"): "c37c944b8443474d99150f282630dee8a647918a1eaf8c0eec18d746a631739a",
-    ("bottle_robust", "robust"): "7cca4d6abfdad205f9848580cd8ec2beba11d391bc6e226d6c225ad3dc7580e8",
-    ("bottle_robust", "nominal"): "33bf00ed4d41314b88ab38da5b7ea4187fbe23f90c9db775803096c998983310",
+    ("bottle_default", "full"): "aef7b1f93958426610edec2061959eb6bb163caaa9776b23611cfea7e7e9e442",
+    ("bottle_a1", "baseline"): "4a771c824127e23cad9caa2eb843ced0eb467c43997c57838854a2e7f655f9be",
+    ("bottle_a1", "slippery-table"): "9634db3b123abf47b1c3d35631f747f4758f5e9aab786938215930f9793e087b",
+    ("bottle_a1", "one-arm"): "51caf7216554074cb1a8aab7228c2882b408044c8b64fb4406d52f3d32e4bb16",
+    ("bottle_a1", "no-mat"): "397c4e5e67f24984176651dd840f8e8205b7f76413e87fa685c8f18e76b2a7e0",
+    ("bottle_a2", "all-hands"): "96cbcf83b21e1ce8692c0f1afdae0628ef45e099d7494aba5b00ab1b5fa89015",
+    ("bottle_a2", "no-wrap"): "91b50274cd34a4fd604ef5fce6e68aa1f6fb2c5e8ee9874342cd86f3379e5334",
+    ("bottle_a2", "fingertips-only"): "ef517c5b08a8ca26fbeee5d747a0849df56ebb4aebe481d9dbc85996c1f06e2e",
+    ("bottle_a2", "tool-only"): "669ab4657b858a62b2ac002b815c24e1d1fc457520a566adb901d99989bf25f4",
+    ("nut_default", "two-arms"): "36489878de21e45ddb38b6d2c184e226d8b1aa31885bd5649c04f14c3b28ccf5",
+    ("nut_default", "one-arm"): "c969701ebc677722c8bc4586bba5ce8de474c63375cd2f58f653631b794fe78c",
+    ("nut_stiff", "full"): "3250c10cecbde69cf27d8f31701447c08384d7b8979821a1bef2c633948b2285",
+    ("bottle_robust", "robust"): "affd98a64d48a5ff523f5eeebe663b3625e4a2edefc65b82d5c42563a7289cee",
+    ("bottle_robust", "nominal"): "f572f3ad79935f363f6158ccb991b9d538306f9ac7f0efc85cf7e0614427001a",
+    ("nut_robust", "robust"): "7aca0f481b4f884a0a369125fa234f863ccedd4ac10f49d422c57dc0c1d750e4",
+    ("nut_robust", "nominal"): "783e2d2a80c38215620af54de2dbfd8f672116793ee0e4bbc6f9518b390c54a2",
 }
 
 

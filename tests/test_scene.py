@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import pytest
+
+from forceplan import planner
 from forceplan.domains import DOMAINS
 from forceplan.domains.scene import World, plan_summary, twist_schemas
 from forceplan.planner import ActionSchema, GroundAction, SolveResult
-from forceplan.scenario import load_scenario, resolve_stage
+from forceplan.scenario import load_scenario, parse_scenario, resolve_stage
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -73,12 +76,74 @@ def test_plan_summary_is_empty_without_a_plan_or_a_twist_step():
     assert plan_summary(SolveResult(None, math.inf, 0, 0)) == ("", "")
 
 
-def shipped_schemas(scenario):
-    resolved = resolve_stage(load_scenario(SCENARIOS / scenario), 0)
+def shipped_problem(scenario, stage=0):
+    return stage_problem(load_scenario(SCENARIOS / scenario), stage)
+
+
+def stage_problem(loaded, stage):
+    resolved = resolve_stage(loaded, stage)
     module = DOMAINS[resolved.domain]
     world = module.build_world(resolved.scene, resolved.operation, resolved.disable)
-    problem = module.build_problem(world, resolved.spec, seed=resolved.seed)
-    return {s.name: s for s in problem.schemas}
+    return module.build_problem(world, resolved.spec, seed=resolved.seed), resolved
+
+
+def shipped_schemas(scenario):
+    return {s.name: s for s in shipped_problem(scenario)[0].schemas}
+
+
+SHIPPED_STAGES = [
+    (path.name, stage.name)
+    for path in sorted(SCENARIOS.glob("*.json"))
+    for stage in load_scenario(path).stages
+]
+# Each domain with the strategies whose twists read a reach's facts disabled.
+NO_REACH = {
+    "bottle-no-hand": '{"domain": "bottle-cap", "disable": '
+    '["wrap-grip", "palm-press", "fingertip-press"]}',
+    "nut-no-finger": '{"domain": "nut-fastening", "disable": ["finger-twist"]}',
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, stage",
+    SHIPPED_STAGES + [(name, 0) for name in NO_REACH],
+    ids=[f"{sc}-{st}" for sc, st in SHIPPED_STAGES] + list(NO_REACH),
+)
+def test_every_certified_fact_is_read(scenario, stage):
+    # A stream whose facts no schema and no stream reads would only spend
+    # its calls (an IK solve each, for a reach).
+    if scenario in NO_REACH:
+        problem = stage_problem(parse_scenario(NO_REACH[scenario]), stage)[0]
+    else:
+        problem = shipped_problem(scenario, stage)[0]
+    read = {f[0] for s in problem.schemas for f in s.static_pre}
+    read |= {f[0] for st in problem.streams for f in st.domain_facts}
+    unread = {
+        st.name: sorted({f[0] for f in st.certified} - read) for st in problem.streams
+    }
+    assert {name: preds for name, preds in unread.items() if preds} == {}
+
+
+@pytest.mark.parametrize("scenario", ["bottle_default.json", "nut_stiff.json"])
+def test_a_move_joins_two_configurations_of_its_arm(scenario, monkeypatch):
+    # Capture the solve's fact database as the streams grow it.
+    seen = {}
+    invoke = planner._invoke_streams
+
+    def capture(streams, facts, invoked):
+        seen["facts"] = facts
+        return invoke(streams, facts, invoked)
+
+    monkeypatch.setattr(planner, "_invoke_streams", capture)
+    problem, resolved = shipped_problem(scenario)
+    result = planner.solve(problem, **resolved.budget)
+    moves = [ga for ga in result.plan if ga.schema.name == "move"]
+    assert moves
+    for ga in moves:
+        arm, q1, q2 = ga.args
+        assert ("Conf", arm, q1) in seen["facts"]["Conf"]
+        assert ("Conf", arm, q2) in seen["facts"]["Conf"]
+        assert q1 is not q2
 
 
 def test_twist_names_split_into_prefix_strategy_and_route():
