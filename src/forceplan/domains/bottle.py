@@ -253,11 +253,11 @@ def build_problem(world: BottleWorld, spec: PerturbationSpec, seed: int = 0) -> 
         ("Graspable", "bottle"),
     ]
     init.append(("AtPose", "bottle", p0))
-    if cfg["mat"] and cfg["start_surface"] != "mat":
+    if "mat-friction" in world.routes and cfg["start_surface"] != "mat":
         statics.append(("Placeable", "bottle", "mat"))
-    if cfg["vise"]:
+    if "vise-hold" in world.routes:
         statics.append(("Placeable", "bottle", "vise"))
-    if cfg["tool"]:
+    if "twist-tool" in world.strategies:
         pt = Value("pose", world.tool_pose)
         statics += [
             ("Pose", "tool", pt),
@@ -284,30 +284,21 @@ def build_problem(world: BottleWorld, spec: PerturbationSpec, seed: int = 0) -> 
             sample_placement,
         ),
         *grasp_streams(world),
-    ]
-    # A reach is built only when a twist this stage offers reads its facts.
-    if any(s in world.strategies for s in HAND_STRATEGIES):
-        streams.append(
-            reach_stream(
-                world, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
-                lambda b: world.twist_hand_target(b["?p"].payload),
-            )
-        )
-    streams += [
+        reach_stream(
+            world, "reach-cap-twist", at_bottle, ("TwistReady", "?a", "?p"),
+            lambda b: world.twist_hand_target(b["?p"].payload),
+        ),
         reach_stream(
             world, "reach-cap-removal", at_bottle, ("RemovalReady", "?a", "?p"),
             lambda b: world.cap_removal_target(b["?p"].payload),
         ),
         Stream("press-levels", (), (("Force", "?e"),), sample_force),
+        reach_stream(
+            world, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
+            ("ToolTwistReady", "?a", "?p", "?g"),
+            lambda b: world.tool_twist_target(b["?p"].payload),
+        ),
     ]
-    if "twist-tool" in world.strategies:
-        streams.append(
-            reach_stream(
-                world, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
-                ("ToolTwistReady", "?a", "?p", "?g"),
-                lambda b: world.tool_twist_target(b["?p"].payload),
-            )
-        )
 
     # ---- costs ------------------------------------------------------------
 

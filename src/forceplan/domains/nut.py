@@ -246,18 +246,13 @@ def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Pro
     """Planning problem for the world's scene and the variants it offers."""
     cfg = world.cfg
     statics, init = world.arm_facts()
-    for wname in sorted(cfg["weights"]):
-        pw = Value("pose", world.object_pose(wname))
-        statics += [
-            ("Weight", wname),
-            ("Graspable", wname),
-            ("Pose", wname, pw),
-        ]
-        init.append(("AtPose", wname, pw))
-    for spot in cfg["weight_spots"]:
-        u = Value("spot", float(spot))
-        statics.append(("Spot", u))
-    if cfg["spanner"]:
+    if "weight-hold" in world.routes:
+        for wname in sorted(cfg["weights"]):
+            pw = Value("pose", world.object_pose(wname))
+            statics += [("Weight", wname), ("Graspable", wname), ("Pose", wname, pw)]
+            init.append(("AtPose", wname, pw))
+        statics += [("Spot", Value("spot", float(spot))) for spot in cfg["weight_spots"]]
+    if "spanner-twist" in world.strategies:
         ps = Value("pose", world.object_pose("spanner"))
         statics += [("Graspable", "spanner"), ("Pose", "spanner", ps)]
         init.append(("AtPose", "spanner", ps))
@@ -265,15 +260,11 @@ def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Pro
     # ---- streams ----------------------------------------------------------
 
     arm = (("Arm", "?a"),)
-    streams = grasp_streams(world)
-    if "finger-twist" in world.strategies:
-        streams.append(
-            reach_stream(
-                world, "reach-nut", arm, ("NutReady", "?a"),
-                lambda b: world.nut_twist_target(),
-            )
-        )
-    streams += [
+    streams = grasp_streams(world) + [
+        reach_stream(
+            world, "reach-nut", arm, ("NutReady", "?a"),
+            lambda b: world.nut_twist_target(),
+        ),
         reach_stream(
             world, "reach-beam-grip", arm, ("BeamGripReady", "?a"),
             lambda b: world.beam_grasp_target(),
@@ -284,15 +275,12 @@ def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Pro
             ("SpotKin", "?a", "?w", "?u", "?g"),
             lambda b: world.weight_place_target(b["?u"].payload),
         ),
+        reach_stream(
+            world, "reach-spanner-drive", arm + (("Grasp", "spanner", "?g"),),
+            ("SpannerReady", "?a", "?g"),
+            lambda b: world.spanner_twist_target(),
+        ),
     ]
-    if "spanner-twist" in world.strategies:
-        streams.append(
-            reach_stream(
-                world, "reach-spanner-drive", arm + (("Grasp", "spanner", "?g"),),
-                ("SpannerReady", "?a", "?g"),
-                lambda b: world.spanner_twist_target(),
-            )
-        )
 
     # ---- costs ------------------------------------------------------------
 

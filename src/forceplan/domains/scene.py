@@ -8,7 +8,10 @@ offers, priced by a hand-side chain and a fixture-side chain, plus the
 grasp and reach streams and the move and pick actions that bring a hand to
 the work.  A move jumps between any two distinct configurations of
 one arm: no trajectory is sampled or checked, as no domain has obstacles.
-A world is built for one stage and knows which variants it offers.
+A world is built for one stage and knows which variants it offers; the
+planner drops the streams and schemas its goal cannot use, and an object
+only one variant uses (tool, spanner, weights, mat, vise) has facts only
+when that variant is offered, as ``pick`` and ``place`` take any object.
 ``World`` makes the decisions the domains share: how a variant is named
 and priced, and how a carried object is grasped and loads the hand.  A
 domain's world supplies only the facts behind them.

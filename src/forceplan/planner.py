@@ -13,7 +13,11 @@ parameters are the variables of its static preconditions, a stream's
 inputs those of its domain facts, and its outputs the other variables of
 its certified facts, each in order of first appearance.
 
-Solving alternates grounding-plus-search with one round of stream
+A solve first keeps only what its goal can use, repeating until nothing
+changes: a schema that adds a predicate the goal or a kept schema reads,
+and a stream each of whose certified predicates a kept schema or stream
+reads ("each", as a reach also certifies the ``Conf`` every move reads).
+Solving then alternates grounding-plus-search with one round of stream
 invocations, so cheap plans that need few sampled values are found before
 the fact database grows.  A round that certifies no new fact ends the
 solve, since every later level would repeat the same search.  Search is
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -319,6 +323,18 @@ def _diagnose(problem, facts, table, cap=None):
     return "; ".join(notes) if notes else "search exhausted the reachable states"
 
 
+def _relevant(problem: Problem) -> Problem:
+    """``problem`` without the schemas and streams its goal cannot use."""
+    read, grown = None, {g[0] for g in problem.goal}
+    while grown != read:
+        read = grown
+        schemas = [s for s in problem.schemas if any(f[0] in read for f in s.add)]
+        streams = [st for st in problem.streams if all(f[0] in read for f in st.certified)]
+        grown = read | {f[0] for s in schemas for f in s.static_pre + s.fluent_pre}
+        grown |= {f[0] for st in streams for f in st.domain_facts}
+    return replace(problem, schemas=schemas, streams=streams)
+
+
 def solve(
     problem: Problem,
     max_levels: int = 8,
@@ -329,6 +345,7 @@ def solve(
     Stops at the first plan, at ``max_levels``, or when a level's streams
     certify no new fact; a failed result reports the last level searched.
     """
+    problem = _relevant(problem)
     # predicate -> insertion-ordered dict of facts (values unused)
     facts: dict = {}
     for f in problem.statics:

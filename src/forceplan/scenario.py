@@ -150,7 +150,8 @@ def _nonnegative(path: str) -> bool:
     return (
         section == "perturbation"
         or key.startswith(("friction.", "weights."))
-        or any(word in key for word in ("force", "mass", "radius"))
+        or any(w in key for w in ("force", "mass", "radius", "height", "width", "half_extents"))
+        or key in ("spanner_handle_length", "tool_tip_below_pads")
     )
 
 

@@ -276,6 +276,49 @@ class TestStreams:
         assert blobs[0] == blobs[1]
 
 
+def never(binding):
+    raise AssertionError("the solve used what no goal can use")
+
+
+# Adds what nothing reads; grounds at level 0 on the static (Cloth rag).
+POLISH = ActionSchema(
+    name="polish",
+    static_pre=(("Cloth", "?c"),),
+    fluent_pre=(),
+    add=(("Shiny",),),
+    delete=(),
+    cost_fn=never,
+)
+
+
+class TestRelevance:
+    """The solve drops the schemas and streams the goal cannot use."""
+
+    def solve_grab_with(self, schemas=(), streams=()):
+        problem = grab_problem(key_stream(["k"]))
+        problem.statics.append(("Cloth", "rag"))
+        problem.schemas += schemas
+        problem.streams += streams
+        result = solve(problem)
+        assert result.solved and result.levels == 1
+
+    def test_a_stream_whose_fact_nothing_reads_is_never_called(self):
+        self.solve_grab_with(streams=[Stream("tag", (), (("Tag", "?t"),), never)])
+
+    def test_a_schema_whose_adds_nothing_reads_is_never_priced(self):
+        self.solve_grab_with(schemas=[POLISH])
+
+    def test_a_stream_that_feeds_only_that_schema_is_never_called(self):
+        weave = Stream("weave", (), (("Cloth", "?c"),), never)
+        self.solve_grab_with(schemas=[POLISH], streams=[weave])
+
+    def test_a_stream_with_one_unread_fact_is_never_called(self):
+        # Like a reach, which certifies the Conf every move reads next to
+        # a fact that no schema of the stage may read.
+        tagged = Stream("tagged-key", (), (("Key", "?k"), ("Tag", "?k")), never)
+        self.solve_grab_with(streams=[tagged])
+
+
 class TestCosts:
     def test_cost_function_called_once_per_ground_action(self):
         calls = []

@@ -216,6 +216,27 @@ class TestValues:
                 "operation.extra_force_levels[1]",
             ),
             ("nut-fastening", "scene.weight_spots", [0.0, -0.26], "scene.weight_spots[1]"),
+            ("bottle-cap", "scene.cap_top_height", -0.5, "scene.cap_top_height"),
+            ("bottle-cap", "scene.grasp_height", -0.1, "scene.grasp_height"),
+            ("bottle-cap", "scene.tool_grasp_height", -0.05, "scene.tool_grasp_height"),
+            ("bottle-cap", "scene.tool_tip_below_pads", -0.06, "scene.tool_tip_below_pads"),
+            (
+                "bottle-cap", "scene.tool_pad_half_extents", [0.03, -0.02],
+                "scene.tool_pad_half_extents",
+            ),
+            ("nut-fastening", "scene.nut_top_height", -0.3, "scene.nut_top_height"),
+            ("nut-fastening", "scene.beam_height", -0.02, "scene.beam_height"),
+            ("nut-fastening", "scene.beam_width", -0.06, "scene.beam_width"),
+            (
+                "nut-fastening", "scene.spanner_handle_length", -0.15,
+                "scene.spanner_handle_length",
+            ),
+            ("nut-fastening", "scene.spanner_grasp_height", -0.02, "scene.spanner_grasp_height"),
+            ("nut-fastening", "scene.weight_grasp_height", -0.04, "scene.weight_grasp_height"),
+            (
+                "nut-fastening", "scene.hand_pad_half_extents", [-0.03, 0.02],
+                "scene.hand_pad_half_extents",
+            ),
             ("bottle-cap", "perturbation.samples", 10**7, "perturbation.samples"),
             ("nut-fastening", "budget.max_expansions", 10**7, "budget.max_expansions"),
         ],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -104,24 +105,76 @@ NO_REACH = {
 }
 
 
+def traced_solve(problem, resolved):
+    """Solve at the stage budget; return the (stream, binding) of each stream
+    call and the (schema, binding) of each ground action built."""
+    called, grounded = [], []
+
+    def traced(log, item, fn):
+        def call(binding):
+            log.append((item, binding))
+            return fn(binding)
+        return call
+
+    schemas = [
+        replace(s, cost_fn=traced(grounded, s, s.cost_fn or (lambda b: 0.0)))
+        for s in problem.schemas
+    ]
+    streams = [replace(st, sample=traced(called, st, st.sample)) for st in problem.streams]
+    planner.solve(replace(problem, schemas=schemas, streams=streams), **resolved.budget)
+    return called, grounded
+
+
 @pytest.mark.parametrize(
     "scenario, stage",
     SHIPPED_STAGES + [(name, 0) for name in NO_REACH],
     ids=[f"{sc}-{st}" for sc, st in SHIPPED_STAGES] + list(NO_REACH),
 )
 def test_every_certified_fact_is_read(scenario, stage):
-    # A stream whose facts no schema and no stream reads would only spend
-    # its calls (an IK solve each, for a reach).
+    # A stream call whose facts nothing on the way to the goal reads would
+    # only spend its time (an IK solve, for a reach).  A schema is on the
+    # way when it adds what the goal or another such schema reads, and a
+    # stream when each fact it certifies is read on the way.
     if scenario in NO_REACH:
-        problem = stage_problem(parse_scenario(NO_REACH[scenario]), stage)[0]
+        problem, resolved = stage_problem(parse_scenario(NO_REACH[scenario]), stage)
     else:
-        problem = shipped_problem(scenario, stage)[0]
-    read = {f[0] for s in problem.schemas for f in s.static_pre}
-    read |= {f[0] for st in problem.streams for f in st.domain_facts}
-    unread = {
-        st.name: sorted({f[0] for f in st.certified} - read) for st in problem.streams
-    }
+        problem, resolved = shipped_problem(scenario, stage)
+    read = {g[0] for g in problem.goal}
+    while True:
+        grown = set(read)
+        for s in problem.schemas:
+            if any(f[0] in read for f in s.add):
+                grown.update(f[0] for f in s.static_pre + s.fluent_pre)
+        for st in problem.streams:
+            if all(f[0] in read for f in st.certified):
+                grown.update(f[0] for f in st.domain_facts)
+        if grown == read:
+            break
+        read = grown
+    called, grounded = traced_solve(problem, resolved)
+    assert called and grounded
+    unread = {st.name: sorted({f[0] for f in st.certified} - read) for st, _ in called}
     assert {name: preds for name, preds in unread.items() if preds} == {}
+    unused = {s.name for s, _ in grounded if not any(f[0] in read for f in s.add)}
+    assert unused == set()
+
+
+def test_one_arm_stages_neither_grip_the_beam_nor_price_the_tool():
+    # nut_default one-arm offers no arm-hold, so nothing reads a beam grip;
+    # bottle_a1 one-arm disables twist-tool, so the tool is never picked.
+    called, _ = traced_solve(*shipped_problem("nut_default.json", "one-arm"))
+    names = [st.name for st, _ in called]
+    assert "reach-nut" in names and "reach-beam-grip" not in names
+    _, grounded = traced_solve(*shipped_problem("bottle_a1.json", "one-arm"))
+    picked = {b["?o"] for s, b in grounded if s.name == "pick"}
+    assert picked == {"bottle"}
+
+
+def test_disabled_routes_place_the_bottle_on_neither_mat_nor_vise():
+    text = '{"domain": "bottle-cap", "disable": ["mat-friction", "vise-hold"]}'
+    called, _ = traced_solve(*stage_problem(parse_scenario(text), 0))
+    names = [st.name for st, _ in called]
+    assert "reach-cap-twist" in names and "place-on" not in names
 
 
 @pytest.mark.parametrize("scenario", ["bottle_default.json", "nut_stiff.json"])
