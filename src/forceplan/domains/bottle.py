@@ -127,16 +127,18 @@ class BottleWorld(World):
         ),
     }
 
-    def __init__(self, cfg: dict, op: dict):
-        super().__init__(cfg, op)
-        self.bottle_pose = Transform(
-            np.eye(3), np.array([cfg["bottle_xy"][0], cfg["bottle_xy"][1], 0.0])
-        )
-        self.tool_pose = Transform(
-            np.eye(3), np.array([cfg["tool_xy"][0], cfg["tool_xy"][1], 0.0])
-        )
+    def absent(self) -> set:
+        """The variants whose tool, mat or vise the scene lacks."""
+        cfg = self.cfg
+        mat = cfg["mat"] or cfg["start_surface"] == "mat"
+        pieces = {"twist-tool": cfg["tool"], "mat-friction": mat, "vise-hold": cfg["vise"]}
+        return {name for name, present in pieces.items() if not present}
 
     # ---- geometry helpers -------------------------------------------------
+
+    @property
+    def bottle_pose(self) -> Transform:
+        return self.floor_pose(self.cfg["bottle_xy"])
 
     def cap_top(self, bottle_pose: Transform) -> np.ndarray:
         return bottle_pose.translation + np.array([0.0, 0.0, self.cfg["cap_top_height"]])
@@ -227,54 +229,32 @@ STRATEGIES = tuple(BottleWorld.STRATEGY_PARTS)
 ROUTES = tuple(BottleWorld.ROUTE_PARTS)
 
 
-def build_world(scene_cfg: dict, op_cfg: dict, disable=()) -> BottleWorld:
-    """The world of one stage: it offers each strategy and route not in
-    ``disable`` whose tool, mat, vise or second arm the scene has."""
-    world = BottleWorld(scene_cfg, op_cfg)
-    absent = {
-        "twist-tool": not scene_cfg["tool"],
-        "mat-friction": not (scene_cfg["mat"] or scene_cfg["start_surface"] == "mat"),
-        "vise-hold": not scene_cfg["vise"],
-        "arm-hold": len(scene_cfg["arms"]) < 2,
-    }
-    world.strategies = [s for s in STRATEGIES if s not in disable and not absent.get(s)]
-    world.routes = [r for r in ROUTES if r not in disable and not absent.get(r)]
-    return world
+build_world = BottleWorld
 
 
 def build_problem(world: BottleWorld, spec: PerturbationSpec, seed: int = 0) -> Problem:
     """Planning problem for the world's scene and the variants it offers."""
     cfg = world.cfg
     statics, init = world.arm_facts()
-    p0 = Value("pose", world.bottle_pose)
-    statics += [
-        ("Pose", "bottle", p0),
-        ("Placement", "bottle", p0, cfg["start_surface"]),
-        ("Graspable", "bottle"),
-    ]
-    init.append(("AtPose", "bottle", p0))
+    bottle_statics, at_start = world.object_facts("bottle", cfg["bottle_xy"])
+    p0 = at_start[0][2]
+    statics += bottle_statics + [("Placement", "bottle", p0, cfg["start_surface"])]
+    init += at_start
     if "mat-friction" in world.routes and cfg["start_surface"] != "mat":
         statics.append(("Placeable", "bottle", "mat"))
     if "vise-hold" in world.routes:
         statics.append(("Placeable", "bottle", "vise"))
     if "twist-tool" in world.strategies:
-        pt = Value("pose", world.tool_pose)
-        statics += [
-            ("Pose", "tool", pt),
-            ("Placement", "tool", pt, "table"),
-            ("Graspable", "tool"),
-        ]
-        init.append(("AtPose", "tool", pt))
+        tool_statics, tool_init = world.object_facts("tool", cfg["tool_xy"])
+        statics += tool_statics
+        init += tool_init
+    statics += [("Force", Value("e", float(e))) for e in world.op["extra_force_levels"]]
 
     # ---- streams ----------------------------------------------------------
 
     def sample_placement(binding):
         # Only the mat and the vise are ever ``Placeable``.
-        xy = cfg[binding["?s"] + "_xy"]
-        return [(Transform(np.eye(3), np.array([xy[0], xy[1], 0.0])),)]
-
-    def sample_force(binding):
-        return [(float(e),) for e in world.op["extra_force_levels"]]
+        return [(world.floor_pose(cfg[binding["?s"] + "_xy"]),)]
 
     at_bottle = (("Arm", "?a"), ("Pose", "bottle", "?p"))
     streams = [
@@ -292,7 +272,6 @@ def build_problem(world: BottleWorld, spec: PerturbationSpec, seed: int = 0) -> 
             world, "reach-cap-removal", at_bottle, ("RemovalReady", "?a", "?p"),
             lambda b: world.cap_removal_target(b["?p"].payload),
         ),
-        Stream("press-levels", (), (("Force", "?e"),), sample_force),
         reach_stream(
             world, "reach-tool-twist", at_bottle + (("Grasp", "tool", "?g"),),
             ("ToolTwistReady", "?a", "?p", "?g"),

@@ -96,12 +96,16 @@ class NutWorld(World):
         "rest-hold": ((), ()),
     }
 
-    def __init__(self, cfg: dict, op: dict):
-        super().__init__(cfg, op)
-        cx, cy = cfg["beam_center_xy"]
-        self.nut_top = np.array([cx, cy, cfg["nut_top_height"]])
+    def absent(self) -> set:
+        """The spanner strategy when the scene has no spanner."""
+        return set() if self.cfg["spanner"] else {"spanner-twist"}
 
     # ---- targets ----------------------------------------------------------
+
+    @property
+    def nut_top(self) -> np.ndarray:
+        cx, cy = self.cfg["beam_center_xy"]
+        return np.array([cx, cy, self.cfg["nut_top_height"]])
 
     def nut_twist_target(self) -> Transform:
         return Transform(tool_down_rotation(), self.nut_top)
@@ -116,13 +120,6 @@ class NutWorld(World):
             [cx + self.cfg["beam_length"] / 2.0 - 0.03, cy, self.cfg["beam_height"]]
         )
         return Transform(tool_down_rotation(), grip)
-
-    def object_pose(self, obj: str) -> Transform:
-        if obj == "spanner":
-            xy = self.cfg["spanner_xy"]
-        else:
-            xy = self.cfg["weight_xy"][obj]
-        return Transform(np.eye(3), np.array([xy[0], xy[1], 0.0]))
 
     def carried(self, obj: str):
         cfg = self.cfg
@@ -229,17 +226,7 @@ STRATEGIES = tuple(NutWorld.STRATEGY_PARTS)
 ROUTES = tuple(NutWorld.ROUTE_PARTS)
 
 
-def build_world(scene_cfg: dict, op_cfg: dict, disable=()) -> NutWorld:
-    """The world of one stage: it offers each strategy and route not in
-    ``disable`` whose spanner or second arm the scene has."""
-    world = NutWorld(scene_cfg, op_cfg)
-    absent = {
-        "spanner-twist": not scene_cfg["spanner"],
-        "arm-hold": len(scene_cfg["arms"]) < 2,
-    }
-    world.strategies = [s for s in STRATEGIES if s not in disable and not absent.get(s)]
-    world.routes = [r for r in ROUTES if r not in disable and not absent.get(r)]
-    return world
+build_world = NutWorld
 
 
 def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Problem:
@@ -248,14 +235,14 @@ def build_problem(world: NutWorld, spec: PerturbationSpec, seed: int = 0) -> Pro
     statics, init = world.arm_facts()
     if "weight-hold" in world.routes:
         for wname in sorted(cfg["weights"]):
-            pw = Value("pose", world.object_pose(wname))
-            statics += [("Weight", wname), ("Graspable", wname), ("Pose", wname, pw)]
-            init.append(("AtPose", wname, pw))
+            weight_statics, at_rest = world.object_facts(wname, cfg["weight_xy"][wname])
+            statics += [("Weight", wname)] + weight_statics
+            init += at_rest
         statics += [("Spot", Value("spot", float(spot))) for spot in cfg["weight_spots"]]
     if "spanner-twist" in world.strategies:
-        ps = Value("pose", world.object_pose("spanner"))
-        statics += [("Graspable", "spanner"), ("Pose", "spanner", ps)]
-        init.append(("AtPose", "spanner", ps))
+        spanner_statics, at_rest = world.object_facts("spanner", cfg["spanner_xy"])
+        statics += spanner_statics
+        init += at_rest
 
     # ---- streams ----------------------------------------------------------
 

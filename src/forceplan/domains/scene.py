@@ -8,13 +8,14 @@ offers, priced by a hand-side chain and a fixture-side chain, plus the
 grasp and reach streams and the move and pick actions that bring a hand to
 the work.  A move jumps between any two distinct configurations of
 one arm: no trajectory is sampled or checked, as no domain has obstacles.
-A world is built for one stage and knows which variants it offers; the
-planner drops the streams and schemas its goal cannot use, and an object
-only one variant uses (tool, spanner, weights, mat, vise) has facts only
-when that variant is offered, as ``pick`` and ``place`` take any object.
-``World`` makes the decisions the domains share: how a variant is named
-and priced, and how a carried object is grasped and loads the hand.  A
-domain's world supplies only the facts behind them.
+A world is built for one stage; the planner drops the streams and
+schemas its goal cannot use, and an object only one variant uses (tool,
+spanner, weights, mat, vise) has facts only when that variant is offered,
+as ``pick`` and ``place`` take any object.  ``World`` makes the decisions
+the domains share: which variants a stage offers, how a variant is named
+and priced, how a carried object is grasped and loads the hand, and an
+object's facts on the floor.  A domain's world supplies only the facts
+behind them.
 Also here: grasp targets, the pad and arm links (``World.pad_link`` and
 ``World.arm_link``), the per-arm initial facts, the common streams and
 schemas, the twist-schema generator, and the plan summary.
@@ -72,7 +73,7 @@ class GraspSpec:
 
 
 class World:
-    """A domain's scene: its configuration, arms, arm bases and friction table.
+    """A domain's scene for one stage: configuration, arms, friction, offers.
 
     ``cfg`` is the scenario's resolved ``scene`` section and ``op`` its
     ``operation`` section; both domains name their arms, arm bases,
@@ -80,30 +81,42 @@ class World:
     ``default_arm`` whose base sits on the floor, axis-aligned with the
     world, at its ``arm_bases`` position.
 
+    The offer rule: ``strategies`` and ``routes`` list the parts tables'
+    names in order, without those in ``disable`` or ``absent()`` (whose
+    scene piece is missing) and, with fewer than two arms, ``arm-hold``.
+
     A domain's world supplies the twist schemas' ``(static, fluent)``
     fragments as ``STRATEGY_PARTS`` and ``ROUTE_PARTS``, whose keys, in
-    order, are the domain's strategies and routes; a ground twist's two
-    ``(chain, wrench)`` pairs as ``hand_chain`` and ``fixture_for``; and
-    ``carried(obj)``, a graspable object's (mass, friction pair, grasp
-    height), which ``carry_chain`` turns into the load on the hand.
-    Every chain link that is a pad grasp or an arm comes from ``pad_link``
-    or ``arm_link``, each as a ``(joint, transform)`` pair.
-
-    The domain's ``build_world`` builds a world for one stage and sets
-    ``strategies`` and ``routes``: the names the stage offers, in parts
-    table order, without the disabled ones and those whose scene pieces
-    are missing.
+    order, are the domain's strategies and routes; ``absent()``; a ground
+    twist's two ``(chain, wrench)`` pairs as ``hand_chain`` and
+    ``fixture_for``; and ``carried(obj)``, a graspable object's (mass,
+    friction pair, grasp height), which ``carry_chain`` turns into the
+    load on the hand.  Every chain link that is a pad grasp or an arm
+    comes from ``pad_link`` or ``arm_link``, each as a ``(joint,
+    transform)`` pair.  ``floor_pose`` builds every floor pose and
+    ``object_facts`` the facts of an object on the floor.
     """
 
-    def __init__(self, cfg: dict, op: dict):
+    def __init__(self, cfg: dict, op: dict, disable):
         self.cfg = cfg
         self.op = op
-        self.arms = {}
-        self.arm_bases = {}
-        for name in cfg["arms"]:
-            x, y = cfg["arm_bases"][name]
-            self.arms[name] = default_arm()
-            self.arm_bases[name] = Transform(np.eye(3), np.array([x, y, 0.0]))
+        self.arms = {name: default_arm() for name in cfg["arms"]}
+        self.arm_bases = {n: self.floor_pose(cfg["arm_bases"][n]) for n in self.arms}
+        drop = set(disable) | self.absent()
+        if len(self.arms) < 2:
+            drop.add("arm-hold")
+        self.strategies = [s for s in self.STRATEGY_PARTS if s not in drop]
+        self.routes = [r for r in self.ROUTE_PARTS if r not in drop]
+
+    @staticmethod
+    def floor_pose(xy) -> Transform:
+        """Axis-aligned pose on the floor at ``xy``."""
+        return Transform(np.eye(3), np.array([xy[0], xy[1], 0.0]))
+
+    def object_facts(self, obj: str, xy):
+        """Static and initial facts of graspable ``obj`` on the floor at ``xy``."""
+        pose = Value("pose", self.floor_pose(xy))
+        return [("Pose", obj, pose), ("Graspable", obj)], [("AtPose", obj, pose)]
 
     def mu(self, pair: str) -> float:
         return float(self.cfg["friction"][pair])

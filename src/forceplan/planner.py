@@ -13,10 +13,12 @@ parameters are the variables of its static preconditions, a stream's
 inputs those of its domain facts, and its outputs the other variables of
 its certified facts, each in order of first appearance.
 
-A solve first keeps only what its goal can use, repeating until nothing
-changes: a schema that adds a predicate the goal or a kept schema reads,
-and a stream each of whose certified predicates a kept schema or stream
-reads ("each", as a reach also certifies the ``Conf`` every move reads).
+A solve first drops each stream and schema whose domain or static
+predicates neither the statics nor a kept stream supply.  Of the rest it
+keeps, repeating until nothing changes, a schema that adds a predicate the
+goal or a kept schema reads, and a stream each of whose certified
+predicates a kept schema or stream reads ("each", as a reach also
+certifies the ``Conf`` every move reads).
 Solving then alternates grounding-plus-search with one round of stream
 invocations, so cheap plans that need few sampled values are found before
 the fact database grows.  A round that certifies no new fact ends the
@@ -324,12 +326,19 @@ def _diagnose(problem, facts, table, cap=None):
 
 
 def _relevant(problem: Problem) -> Problem:
-    """``problem`` without the schemas and streams its goal cannot use."""
+    """``problem`` without the schemas and streams that can never ground or
+    that its goal cannot use."""
+    known, grown = None, {f[0] for f in problem.statics}
+    while grown != known:
+        known = grown
+        able = [st for st in problem.streams if all(f[0] in known for f in st.domain_facts)]
+        grown = known | {f[0] for st in able for f in st.certified}
+    groundable = [s for s in problem.schemas if all(f[0] in known for f in s.static_pre)]
     read, grown = None, {g[0] for g in problem.goal}
     while grown != read:
         read = grown
-        schemas = [s for s in problem.schemas if any(f[0] in read for f in s.add)]
-        streams = [st for st in problem.streams if all(f[0] in read for f in st.certified)]
+        schemas = [s for s in groundable if any(f[0] in read for f in s.add)]
+        streams = [st for st in able if all(f[0] in read for f in st.certified)]
         grown = read | {f[0] for s in schemas for f in s.static_pre + s.fluent_pre}
         grown |= {f[0] for st in streams for f in st.domain_facts}
     return replace(problem, schemas=schemas, streams=streams)

@@ -181,6 +181,8 @@ def _check_sections(sections: dict):
     _check_leaves(sections, "")
     if sections["perturbation"]["samples"] < 1:
         raise ConfigError("'perturbation.samples' must be at least 1")
+    if sections["operation"].get("extra_force_levels") == []:
+        raise ConfigError("'operation.extra_force_levels' must name a press level")
     scene = sections["scene"]
     if scene.get("start_surface", "table") not in ("table", "mat", "vise"):
         raise ConfigError("'scene.start_surface' must be one of table, mat, vise")

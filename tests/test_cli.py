@@ -116,6 +116,20 @@ class TestSolve:
         assert not out.exists()
         assert "no plan" in capsys.readouterr().out
 
+    def test_no_plan_names_only_what_can_ground(self, tmp_path, capsys):
+        # No weight is stated, so neither placing a weight nor reaching a
+        # weight spot can ground, and the diagnostic names neither.
+        scenario = tmp_path / "one-arm.json"
+        scenario.write_text(
+            '{"domain": "nut-fastening", "disable": ["weight-hold"],'
+            ' "scene": {"arms": ["arm0"]}}'
+        )
+        assert main(["solve", str(scenario)]) == 2
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "  goal (NutLoosened) is added only by 2 actions priced infinite,"
+            " first twist-nut--finger-twist--rest-hold(arm0, q)"
+        )
+
     def test_plan_that_fails_revalidation_exits_2(self, tmp_path, capsys, monkeypatch):
         # Each call prices a little higher, so no action re-prices to the
         # cost the search paid for it.

@@ -106,7 +106,7 @@ def pad_links():
     carry, _ = world.carry_chain(mass, pair, grasp_z, "arm0", q)
     spanner, _ = world.twist_chain("spanner-twist", "arm0", q)
     bottle_world = bottle.build_world(
-        dict(bottle.SCENE_DEFAULTS), dict(bottle.OPERATION_DEFAULTS)
+        dict(bottle.SCENE_DEFAULTS), dict(bottle.OPERATION_DEFAULTS), ()
     )
     tool, _ = bottle_world.twist_chain("twist-tool", 15.0, "arm0", q)
     return {
@@ -203,9 +203,8 @@ class TestCarrying:
         margins = {}
         for wname in ("w1", "w2", "w3"):
             grasp = world.object_grasp(wname)
-            q = world.reach(
-                "arm0", compose(world.object_pose(wname), grasp.offset)
-            )
+            pose = world.floor_pose(world.cfg["weight_xy"][wname])
+            q = world.reach("arm0", compose(pose, grasp.offset))
             assert q is not None, wname
             chain, w = world.carry_chain(*world.carried(wname), "arm0", q)
             margins[wname] = chain_stable(chain, w)

@@ -201,6 +201,10 @@ class TestValues:
                 "bottle-cap", "operation.extra_force_levels", [0.0, float("inf")],
                 "operation.extra_force_levels[1]",
             ),
+            (
+                "bottle-cap", "operation.extra_force_levels", [],
+                "operation.extra_force_levels",
+            ),
             ("bottle-cap", "budget.max_levels", -1, "budget.max_levels"),
             ("nut-fastening", "budget.max_expansions", -5, "budget.max_expansions"),
             ("nut-fastening", "scene.beam_length", 0.0, "scene.beam_length"),

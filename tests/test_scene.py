@@ -125,20 +125,26 @@ def traced_solve(problem, resolved):
     return called, grounded
 
 
-@pytest.mark.parametrize(
+every_stage = pytest.mark.parametrize(
     "scenario, stage",
     SHIPPED_STAGES + [(name, 0) for name in NO_REACH],
     ids=[f"{sc}-{st}" for sc, st in SHIPPED_STAGES] + list(NO_REACH),
 )
+
+
+def case_problem(scenario, stage):
+    if scenario in NO_REACH:
+        return stage_problem(parse_scenario(NO_REACH[scenario]), stage)
+    return shipped_problem(scenario, stage)
+
+
+@every_stage
 def test_every_certified_fact_is_read(scenario, stage):
     # A stream call whose facts nothing on the way to the goal reads would
     # only spend its time (an IK solve, for a reach).  A schema is on the
     # way when it adds what the goal or another such schema reads, and a
     # stream when each fact it certifies is read on the way.
-    if scenario in NO_REACH:
-        problem, resolved = stage_problem(parse_scenario(NO_REACH[scenario]), stage)
-    else:
-        problem, resolved = shipped_problem(scenario, stage)
+    problem, resolved = case_problem(scenario, stage)
     read = {g[0] for g in problem.goal}
     while True:
         grown = set(read)
@@ -157,6 +163,20 @@ def test_every_certified_fact_is_read(scenario, stage):
     assert {name: preds for name, preds in unread.items() if preds} == {}
     unused = {s.name for s, _ in grounded if not any(f[0] in read for f in s.add)}
     assert unused == set()
+
+
+@every_stage
+def test_every_static_fact_is_read(scenario, stage):
+    # Each static fact matches a static precondition of a schema the solve
+    # keeps or a domain fact of a stream it keeps.
+    kept = planner._relevant(case_problem(scenario, stage)[0])
+    patterns = [f for s in kept.schemas for f in s.static_pre]
+    patterns += [f for st in kept.streams for f in st.domain_facts]
+    unread = [
+        planner._pretty(fact) for fact in kept.statics
+        if all(planner._match(pat, fact, {}) is None for pat in patterns)
+    ]
+    assert unread == []
 
 
 def test_one_arm_stages_neither_grip_the_beam_nor_price_the_tool():
