@@ -128,10 +128,15 @@ class BottleWorld(World):
     }
 
     def absent(self) -> set:
-        """The variants whose tool, mat or vise the scene lacks."""
+        """The variants whose tool, mat or vise the scene lacks.
+
+        A bottle that starts on the mat or in the vise brings that surface
+        with it.
+        """
         cfg = self.cfg
         mat = cfg["mat"] or cfg["start_surface"] == "mat"
-        pieces = {"twist-tool": cfg["tool"], "mat-friction": mat, "vise-hold": cfg["vise"]}
+        vise = cfg["vise"] or cfg["start_surface"] == "vise"
+        pieces = {"twist-tool": cfg["tool"], "mat-friction": mat, "vise-hold": vise}
         return {name for name, present in pieces.items() if not present}
 
     # ---- geometry helpers -------------------------------------------------

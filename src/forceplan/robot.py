@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .spatial import Transform
+from .spatial import Transform, matrix_rotvec, rotvec_matrix
 
 __all__ = [
     "SerialArm",
@@ -38,7 +37,7 @@ _IK_MAX_ITERS = 200
 
 
 def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    return Rotation.from_rotvec(axis * angle).as_matrix()
+    return rotvec_matrix(axis * angle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +112,19 @@ def fk(arm: SerialArm, q) -> Transform:
 
 
 def _frames_jacobian(origins, axes, p_ee) -> np.ndarray:
-    """Geometric Jacobian from the joint frames ``_chain_frames`` returns."""
-    J = np.zeros((6, len(axes)))
-    for i in range(len(axes)):
-        J[:3, i] = np.cross(axes[i], p_ee - origins[i])
-        J[3:, i] = axes[i]
+    """Geometric Jacobian from the joint frames ``_chain_frames`` returns.
+
+    Column i is (a_i x (p_ee - o_i), a_i), with the cross product written
+    out as ``np.cross`` computes it, for all joints at once.  J is filled
+    in C order: the BLAS products of ``ik`` sum in an order that follows
+    the layout, and its iterates depend on that to the last bit.
+    """
+    a, d = axes.T, (p_ee - origins).T
+    J = np.empty((6, len(axes)))
+    J[0] = a[1] * d[2] - a[2] * d[1]
+    J[1] = a[2] * d[0] - a[0] * d[2]
+    J[2] = a[0] * d[1] - a[1] * d[0]
+    J[3:] = a
     return J
 
 
@@ -129,7 +136,7 @@ def jacobian(arm: SerialArm, q) -> np.ndarray:
 
 def _pose_error(target: Transform, R: np.ndarray, p: np.ndarray) -> np.ndarray:
     e_p = target.translation - p
-    e_r = Rotation.from_matrix(target.rotation @ R.T).as_rotvec()
+    e_r = matrix_rotvec(target.rotation @ R.T)
     return np.concatenate([e_p, e_r])
 
 

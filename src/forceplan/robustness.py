@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import robot
-from .spatial import Transform, Wrench, compose
+from .spatial import Transform, Wrench, compose, rotvec_matrices, rotvec_matrix
 from .stability import (
     ArmJoint,
     CircularPatchJoint,
@@ -84,7 +83,7 @@ def _noisy_transform(t: Transform, spec: PerturbationSpec, rng) -> Transform:
     rv = rng.normal(0.0, spec.frame_rotation, 3)
     if not (np.any(dp) or np.any(rv)):
         return t
-    return compose(t, Transform(Rotation.from_rotvec(rv).as_matrix(), dp))
+    return compose(t, Transform(rotvec_matrix(rv), dp))
 
 
 def perturbed_case(
@@ -141,7 +140,7 @@ def _noisy_frames(t: Transform, dp, rv):
     Also returns the samples whose moved frame ``Transform`` would reject.
     """
     moved = np.any(dp, axis=1) | np.any(rv, axis=1)
-    rot = np.matmul(t.rotation, Rotation.from_rotvec(rv).as_matrix())
+    rot = np.matmul(t.rotation, rotvec_matrices(rv))
     pos = np.matmul(t.rotation, dp[:, :, None])[:, :, 0] + t.translation
     with np.errstate(invalid="ignore"):
         gram = np.matmul(rot.transpose(0, 2, 1), rot)

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import robot
 from .spatial import Wrench, transform_wrench
@@ -296,8 +295,11 @@ def _cone_feasible(w: np.ndarray, generators: np.ndarray):
     """NNLS phase-1 feasibility of w = sum(lambda_i g_i), lambda >= 0.
 
     Returns (feasible, residual) with the residual measured after scaling
-    w to unit norm, so the tolerance is relative.
+    w to unit norm, so the tolerance is relative.  scipy is imported here,
+    at the first cone, because nothing else on the solve path needs it.
     """
+    from scipy.optimize import nnls
+
     scale = np.linalg.norm(w)
     if scale <= _CONE_TOL:
         return True, 0.0

@@ -160,6 +160,11 @@ class TestOffered:
             ["table-friction", "vise-hold"],
         )
 
+    @pytest.mark.parametrize("surface, route", [("mat", "mat-friction"), ("vise", "vise-hold")])
+    def test_the_surface_the_bottle_starts_on_is_offered(self, surface, route):
+        world = make_world(start_surface=surface, mat=False, vise=False)
+        assert [r for r in world.routes if r in ("mat-friction", "vise-hold")] == [route]
+
 
 class TestPlanning:
     def test_default_scene_four_step_twist(self):

@@ -1,6 +1,7 @@
 """Source hygiene: public names exist, no module imports a name it never
-uses, the package's own imports form no cycle and sit at module level, and
-every parameter default is overridden by some call.
+uses, the package's own imports form no cycle and sit at module level,
+every parameter default is overridden by some call, and scipy stays off
+the import and solve path.
 
 No linter is a dependency, so the checks read the source with ``ast``.
 """
@@ -9,6 +10,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,3 +156,26 @@ def test_every_parameter_default_is_overridden_somewhere():
             ):
                 unused.append(f"{module_name(path)}.{func}({param})")
     assert unused == []
+
+
+SCIPY_PROBE = """
+import json, sys
+loaded = lambda name: sorted(m for m in sys.modules if (m + ".").startswith(name + "."))
+import forceplan.cli
+after_import = loaded("scipy")
+forceplan.cli.main(["solve", "scenarios/bottle_default.json", "--out", sys.argv[1]])
+print(json.dumps([after_import, loaded("scipy.optimize")]))
+"""
+
+
+def test_scipy_is_loaded_only_for_a_polygon_cone(tmp_path):
+    # A fresh interpreter: this test process has imported scipy already.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "plan.json")],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    after_import, after_solve = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    # bottle_default checks no polygon cone, so NNLS is never needed.
+    assert after_solve == []

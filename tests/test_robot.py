@@ -115,6 +115,20 @@ class TestJacobianNumeric:
                 jacobian(arm, q), numeric_jacobian(arm, q), atol=1e-6
             )
 
+    def test_default_arm_matches_a_cross_product_per_joint(self):
+        arm = default_arm()
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            q = rng.uniform(-3.0, 3.0, size=arm.dof)
+            origins, axes, _, p_ee = robot._chain_frames(arm, q)
+            J = np.zeros((6, arm.dof))
+            for i in range(arm.dof):
+                J[:3, i] = np.cross(axes[i], p_ee - origins[i])
+                J[3:, i] = axes[i]
+            fast = jacobian(arm, q)
+            # Same bits and the same layout, so ik's BLAS calls sum alike.
+            assert fast.tobytes() == J.tobytes() and fast.flags.c_contiguous
+
 
 class TestDefaultArm:
     def test_shape_and_limits(self):

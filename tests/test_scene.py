@@ -197,6 +197,19 @@ def test_disabled_routes_place_the_bottle_on_neither_mat_nor_vise():
     assert "reach-cap-twist" in names and "place-on" not in names
 
 
+@pytest.mark.parametrize("vise", ["false", "true"])
+def test_a_bottle_that_starts_in_the_vise_is_held_by_it(vise):
+    # Whether the scene lists a vise or not, the bottle stands in one.
+    text = (
+        '{"domain": "bottle-cap", "scene": {"start_surface": "vise", "vise": %s, '
+        '"friction": {"bottle-table": 0.08}}}' % vise
+    )
+    problem, resolved = stage_problem(parse_scenario(text), 0)
+    result = planner.solve(problem, **resolved.budget)
+    assert len(result.plan) == 5
+    assert plan_summary(result)[1] == "vise-hold"
+
+
 @pytest.mark.parametrize("scenario", ["bottle_default.json", "nut_stiff.json"])
 def test_a_move_joins_two_configurations_of_its_arm(scenario, monkeypatch):
     # Capture the solve's fact database as the streams grow it.

@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
-from forceplan.spatial import Transform, Wrench, compose, rot_y, rot_z, transform_wrench
+from forceplan.robot import default_arm
+from forceplan.spatial import (
+    Transform,
+    Wrench,
+    compose,
+    matrix_rotvec,
+    rot_y,
+    rot_z,
+    rotvec_matrices,
+    rotvec_matrix,
+    transform_wrench,
+)
 
 
 def rot_x(angle):
@@ -151,3 +163,63 @@ class TestWrench:
         power_tgt = wt.force @ lin + wt.torque @ ang
         assert abs(power_src - power_tgt) < 1e-9 * max(1.0, abs(power_src))
 
+
+
+def bitwise_equal(a, b):
+    """Equal values and equal signs of zero: what later arithmetic can see."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def rotation_vectors():
+    """Rotation vectors at every scale the package uses, both Taylor sides."""
+    rng = np.random.default_rng(11)
+    units = rng.normal(size=(200, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    angles = [1e-6, 1e-4, 9.999e-4, 1e-3, 1.0001e-3, 2e-3, 0.1, 1.0, 3.0, np.pi]
+    vectors = [np.zeros((1, 3)), 0.017 * rng.normal(size=(2000, 3))]
+    vectors += [units * a for a in angles]
+    # Each joint of the default arm, as its forward kinematics rotates it.
+    q = np.linspace(-3.0, 3.0, 601)
+    vectors += [axis * q[:, None] for axis in default_arm().joint_axes]
+    return np.concatenate(vectors)
+
+
+def rotation_matrices():
+    rng = np.random.default_rng(12)
+    units = rng.normal(size=(300, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    near_pi = [units * (np.pi - gap) for gap in (0.0, 1e-12, 1e-8, 1e-4)]
+    random = [random_rotation(rng) for _ in range(500)]
+    return np.concatenate([
+        np.eye(3)[None], np.array(random),
+        Rotation.from_rotvec(np.concatenate([rotation_vectors(), *near_pi])).as_matrix(),
+    ])
+
+
+class TestRotationVectors:
+    """The closed-form rotations against scipy's ``Rotation``, bit for bit."""
+
+    def test_one_vector_matches_scipy(self):
+        for v in rotation_vectors():
+            assert bitwise_equal(rotvec_matrix(v), Rotation.from_rotvec(v).as_matrix())
+
+    def test_batched_vectors_match_scipy(self):
+        v = rotation_vectors()
+        assert bitwise_equal(rotvec_matrices(v), Rotation.from_rotvec(v).as_matrix())
+
+    def test_matrix_to_vector_matches_scipy(self):
+        for m in rotation_matrices():
+            assert bitwise_equal(matrix_rotvec(m), Rotation.from_matrix(m).as_rotvec())
+
+    def test_a_matrix_off_orthogonal_is_projected_as_scipy_does(self):
+        rng = np.random.default_rng(13)
+        for m in rotation_matrices()[::4]:
+            bent = m + 1e-9 * rng.normal(size=(3, 3))
+            assert bitwise_equal(matrix_rotvec(bent), Rotation.from_matrix(bent).as_rotvec())
+
+    def test_a_reflection_raises_as_scipy_does(self):
+        refl = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(ValueError) as expected:
+            Rotation.from_matrix(refl)
+        with pytest.raises(type(expected.value)):
+            matrix_rotvec(refl)
