@@ -37,11 +37,7 @@ def _solve_stage(resolved):
     world = module.build_world(resolved.scene, resolved.operation, resolved.disable)
     problem = module.build_problem(world, resolved.spec, seed=resolved.seed)
     start = time.perf_counter()
-    result = solve(
-        problem,
-        max_levels=resolved.budget["max_levels"],
-        max_expansions=resolved.budget["max_expansions"],
-    )
+    result = solve(problem, **resolved.budget)
     wall = time.perf_counter() - start
     if result.solved:
         ok, why = validate_plan(problem, result.plan, result.cost)
@@ -211,10 +207,7 @@ def cmd_robustness(args) -> int:
     else:
         rows = _nut_rows(world, resolved, spec, grid)
         sweep_label = "ballast mass sweep"
-    methods = []
-    for _, method, _, _ in rows:
-        if method not in methods:
-            methods.append(method)
+    methods = list(dict.fromkeys(m for _, m, _, _ in rows))
     print(f"{sweep_label}, {spec.samples} samples per point")
     for method in methods:
         probs = [f"{fail:.3f}" for _, m, fail, _ in rows if m == method]

@@ -20,7 +20,7 @@ import numpy as np
 from ..planner import ActionSchema, Problem, Stream, Value
 from ..robustness import PerturbationSpec, chain_cost
 from ..spatial import Transform, Wrench, rot_z
-from ..stability import GRAVITY, CircularPatchJoint, ForcefulKinematicChain, RigidJoint
+from ..stability import GRAVITY, CircularPatchJoint, ForcefulKinematicChain
 from .scene import (
     World,
     common_schemas,
@@ -216,9 +216,7 @@ class BottleWorld(World):
             t = Transform(np.eye(3), np.array([0.0, 0.0, cfg["cap_top_height"]]))
             chain = ForcefulKinematicChain("cap", ((patch, t),))
         elif route in ("arm-hold", "vise-hold"):
-            chain = ForcefulKinematicChain(
-                "cap", ((RigidJoint(route), Transform.identity()),)
-            )
+            chain = ForcefulKinematicChain("cap")
         else:
             raise KeyError(route)
         return chain, self.cap_wrench(extra)

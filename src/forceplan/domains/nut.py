@@ -20,7 +20,6 @@ from ..stability import (
     CircularPatchJoint,
     ForcefulKinematicChain,
     PolygonPatchJoint,
-    RigidJoint,
 )
 from .scene import (
     World,
@@ -149,8 +148,8 @@ class NutWorld(World):
             joints.append((patch, Transform.identity()))
             ee_offset = (0.0, 0.0, 0.0)
         elif strategy == "spanner-twist":
-            # Hex socket: form closed about the twist axis.
-            joints.append((RigidJoint("socket"), Transform.identity()))
+            # Hex socket: form closed about the twist axis, so the chain
+            # starts at the pads.
             ee_offset = (-cfg["spanner_handle_length"], 0.0, 0.0)
             joints.append(self.pad_link(
                 "hand-spanner", cfg["hand_pad_half_extents"], cfg["spanner_grip_force"],
@@ -170,10 +169,7 @@ class NutWorld(World):
         """
         cfg = self.cfg
         if route == "arm-hold":
-            chain = ForcefulKinematicChain(
-                "nut", ((RigidJoint("arm-hold"), Transform.identity()),)
-            )
-            return chain, self.nut_wrench()
+            return ForcefulKinematicChain("nut"), self.nut_wrench()
         if route == "rest-hold":
             mass, spot = 0.0, 0.0
         elif route == "weight-hold":

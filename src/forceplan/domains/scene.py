@@ -93,8 +93,9 @@ class World:
     friction pair, grasp height), which ``carry_chain`` turns into the
     load on the hand.  Every chain link that is a pad grasp or an arm
     comes from ``pad_link`` or ``arm_link``, each as a ``(joint,
-    transform)`` pair.  ``floor_pose`` builds every floor pose and
-    ``object_facts`` the facts of an object on the floor.
+    transform)`` pair; a hold that cannot slip (a second arm's grip, a
+    vise, a hex socket) adds no link.  ``floor_pose`` builds every floor
+    pose and ``object_facts`` the facts of an object on the floor.
     """
 
     def __init__(self, cfg: dict, op: dict, disable):

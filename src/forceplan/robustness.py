@@ -43,7 +43,6 @@ from .stability import (
     CircularPatchJoint,
     ForcefulKinematicChain,
     PolygonPatchJoint,
-    RigidJoint,
     chain_stable,
     circular_patch_verdicts,
     polygon_patch_verdicts,
@@ -92,8 +91,8 @@ def perturbed_case(
     """One noise realization of (chain, wrench).
 
     Draw order: six wrench factors, then per patch joint two parameter
-    draws followed by the six frame draws.  Arm and rigid joints draw
-    nothing; their models carry no sampled uncertainty here.
+    draws followed by the six frame draws.  Arm joints draw nothing;
+    their model carries no sampled uncertainty here.
     """
     fac = 1.0 + spec.wrench_rel * rng.standard_normal(6)
     arr = w.as_array() * fac
@@ -161,8 +160,8 @@ def _loaded_joints(chain, spec, z, fz_fac, wrench, suspect):
     The wrench is the one the joint's test sees: the transmitted wrench
     plus a polygon patch's preload.  Column layout of ``z`` after the six
     wrench columns: per patch joint, the two parameter draws and then the
-    six frame draws, as in ``perturbed_case``.  Arm and rigid joints keep
-    their nominal frame.  Samples that the scalar oracle may reject, or
+    six frame draws, as in ``perturbed_case``.  Arm joints keep their
+    nominal frame.  Samples that the scalar oracle may reject, or
     whose verdict the array arithmetic cannot vouch for, are marked in
     ``suspect``.
     """
@@ -188,7 +187,7 @@ def _loaded_joints(chain, spec, z, fz_fac, wrench, suspect):
                 corners = centroid + (joint.corners - centroid) * scale[:, None, None]
                 suspect |= np.max(np.abs(corners[:, :, 2]), axis=1) > 1e-9
                 params, extra = (mu, corners), joint.preload
-        elif not isinstance(joint, (ArmJoint, RigidJoint)):
+        elif not isinstance(joint, ArmJoint):
             suspect[:] = True
         f = np.matmul(rot, wrench[:, :3, None])[:, :, 0]
         tau = np.matmul(rot, wrench[:, 3:, None])[:, :, 0] + np.cross(pos, f)

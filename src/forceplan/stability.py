@@ -1,10 +1,11 @@
 """Quasi-static stability of wrench transmission through contact chains.
 
 A forceful kinematic chain is the ordered list of joints (frictional
-patches, arm joints, rigid attachments) that an exerted wrench must pass
-through on its way from the application frame to the ground.  The chain is
-stable exactly when every joint can transmit its share of the wrench, and
-its margin is the minimum over the per-joint margins.
+patches and arm joints) that an exerted wrench must pass through on its
+way from the application frame to the ground; a hold that cannot slip
+adds none.  The chain is stable exactly when every joint can transmit its
+share of the wrench, and its margin is the minimum over the per-joint
+margins.  A chain with no joints is certain.
 
 Joint test frames
 -----------------
@@ -22,8 +23,7 @@ Margins
 * polygon patch: 1 for a feasible wrench (conic feasibility is scale
   invariant, so there is no finer scale to report); infeasible wrenches
   get the negated normalized cone residual,
-* arm joint: 1 minus the worst torque utilization ratio,
-* rigid joint: 1.
+* arm joint: 1 minus the worst torque utilization ratio.
 
 In every case margin > 0 exactly when the joint verdict is stable, with
 strict inequalities at the boundary.
@@ -50,7 +50,6 @@ __all__ = [
     "CircularPatchJoint",
     "PolygonPatchJoint",
     "ArmJoint",
-    "RigidJoint",
     "JointModel",
     "ForcefulKinematicChain",
     "StabilityVerdict",
@@ -163,14 +162,7 @@ class ArmJoint:
         object.__setattr__(self, "config_q", q)
 
 
-@dataclass(frozen=True, eq=False)
-class RigidJoint:
-    """Weld, vise clamp, or rigid grasp; transmits any wrench."""
-
-    contact_frame: str = ""
-
-
-JointModel = Union[CircularPatchJoint, PolygonPatchJoint, ArmJoint, RigidJoint]
+JointModel = Union[CircularPatchJoint, PolygonPatchJoint, ArmJoint]
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,8 +377,6 @@ def torque_stable(arm: robot.SerialArm, q, w: Wrench) -> StabilityVerdict:
 
 def joint_stable(joint: JointModel, w: Wrench) -> StabilityVerdict:
     """Verdict for a single joint given the transmitted wrench in its frame."""
-    if isinstance(joint, RigidJoint):
-        return StabilityVerdict(True, 1.0)
     if isinstance(joint, CircularPatchJoint):
         return _circular_patch_stable(joint, w)
     if isinstance(joint, PolygonPatchJoint):

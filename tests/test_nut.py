@@ -12,7 +12,7 @@ from forceplan.domains.scene import plan_summary
 from forceplan.planner import STEP_COST, solve, validate_plan
 from forceplan.robustness import PerturbationSpec, chain_cost
 from forceplan.spatial import compose
-from forceplan.stability import GRAVITY, RigidJoint, chain_stable
+from forceplan.stability import GRAVITY, ArmJoint, PolygonPatchJoint, chain_stable
 
 
 def make_cfg(**over):
@@ -57,9 +57,9 @@ class TestTwistChains:
         world = make_world(op={"torque": 0.9})
         q = world.reach("arm0", world.spanner_twist_target())
         chain, w = world.twist_chain("spanner-twist", "arm0", q)
-        assert len(chain.joints) == 3
-        assert isinstance(chain.joints[0][0], RigidJoint)
-        preload = chain.joints[1][0].preload
+        # The hex socket is form closed, so the chain starts at the pads.
+        assert [type(joint) for joint, _ in chain.joints] == [PolygonPatchJoint, ArmJoint]
+        preload = chain.joints[0][0].preload
         assert preload.force[2] == pytest.approx(-160.0)
         assert chain_stable(chain, w).stable
         assert chain_cost(chain, w, PerturbationSpec(), seed=0) == 0.0
@@ -116,7 +116,7 @@ def pad_links():
             (0.0, 0.0, bottle.SCENE_DEFAULTS["tool_tip_below_pads"]),
         ),
         "spanner": (
-            spanner.joints[1], [0, 0, 1],
+            spanner.joints[0], [0, 0, 1],
             (-nut.SCENE_DEFAULTS["spanner_handle_length"], 0.0, 0.0),
         ),
     }

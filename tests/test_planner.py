@@ -464,11 +464,7 @@ class TestShippedWork:
             for s in problem.schemas
         ]
         streams = [replace(st, sample=counted("stream", st.sample)) for st in problem.streams]
-        result = solve(
-            replace(problem, schemas=schemas, streams=streams),
-            max_levels=resolved.budget["max_levels"],
-            max_expansions=resolved.budget["max_expansions"],
-        )
+        result = solve(replace(problem, schemas=schemas, streams=streams), **resolved.budget)
         assert result.solved
         assert (calls["cost"], calls["stream"], result.levels, result.expansions) == work
 

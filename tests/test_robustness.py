@@ -28,7 +28,6 @@ from forceplan.stability import (
     CircularPatchJoint,
     ForcefulKinematicChain,
     PolygonPatchJoint,
-    RigidJoint,
     chain_stable,
 )
 
@@ -87,14 +86,15 @@ class TestDeterminism:
         np.testing.assert_array_equal(j2.corners, joint.corners)
 
 
-class TestRigidChains:
-    def test_rigid_chain_is_certain(self):
-        chain = ForcefulKinematicChain(
-            "obj", ((RigidJoint(), Transform.identity()),)
-        )
+class TestCertainAndImpossibleChains:
+    def test_chain_with_no_joints_is_certain(self):
+        # A hold that cannot slip adds no joint, so nothing can fail.
+        chain = ForcefulKinematicChain("obj")
         w = Wrench([100.0, 0, 0], [0, 0, 5.0], frame="obj")
-        assert success_probability(chain, w) == 1.0
-        assert chain_cost(chain, w) == 0.0
+        spec = PerturbationSpec()
+        p = success_probability(chain, w, spec)
+        assert p == oracle_success_probability(chain, w, spec, 0) == 1.0
+        assert chain_cost(chain, w, spec) == 0.0
 
     def test_impossible_case_costs_infinity(self):
         chain = single_patch_chain(0.5, 0.05, 0.0)
@@ -237,7 +237,7 @@ corner_forces = zero_or(0.5, 20.0)
 
 @st.composite
 def joints(draw):
-    kind = draw(st.sampled_from(["circular", "polygon", "arm", "rigid"]))
+    kind = draw(st.sampled_from(["circular", "polygon", "arm"]))
     if kind == "circular":
         normal = draw(zero_or(1.0, 30.0))
         coupled = normal * draw(st.floats(min_value=0.0, max_value=1.0))
@@ -249,12 +249,10 @@ def joints(draw):
         forces = [draw(corner_forces) for _ in range(m)]
         preload = draw(st.one_of(st.none(), wrenches(force=30.0, torque=1.0)))
         return PolygonPatchJoint(draw(frictions), corners, forces, "slat", preload)
-    if kind == "arm":
-        arm = draw(st.sampled_from([planar_two_link_arm(0.4, 0.3), default_arm()]))
-        lo, hi = arm.position_limits[:, 0], arm.position_limits[:, 1]
-        q = [draw(st.floats(min_value=a, max_value=b)) for a, b in zip(lo, hi)]
-        return ArmJoint(arm, q)
-    return RigidJoint("weld")
+    arm = draw(st.sampled_from([planar_two_link_arm(0.4, 0.3), default_arm()]))
+    lo, hi = arm.position_limits[:, 0], arm.position_limits[:, 1]
+    q = [draw(st.floats(min_value=a, max_value=b)) for a, b in zip(lo, hi)]
+    return ArmJoint(arm, q)
 
 
 @st.composite
@@ -323,6 +321,15 @@ class TestBatchedAgreesWithScalarOracle:
         expected = raised(oracle_success_probability, chain, w, spec, seed)
         assert expected[0] is ValueError
         assert raised(success_probability, chain, w, spec, seed) == expected
+
+    def test_foreign_frame_on_a_chain_with_no_joints_raises_the_oracle_error(self):
+        # The suspect path runs even when there is no link to check.
+        chain = ForcefulKinematicChain("app")
+        w = Wrench([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], "elsewhere")
+        spec = PerturbationSpec(samples=3)
+        expected = raised(oracle_success_probability, chain, w, spec, 0)
+        assert expected[0] is ValueError
+        assert raised(success_probability, chain, w, spec, 0) == expected
 
     def test_overflowing_wrench_raises_the_oracle_error(self):
         chain = single_patch_chain(0.5, 0.05, 10.0)

@@ -13,6 +13,7 @@ from forceplan.domains import DOMAINS
 from forceplan.domains.scene import World, plan_summary, twist_schemas
 from forceplan.planner import ActionSchema, GroundAction, SolveResult
 from forceplan.scenario import load_scenario, parse_scenario, resolve_stage
+from forceplan.stability import ArmJoint, CircularPatchJoint, PolygonPatchJoint
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -139,11 +140,17 @@ def case_problem(scenario, stage):
 
 
 @every_stage
-def test_every_certified_fact_is_read(scenario, stage):
+def test_every_certified_fact_is_read(scenario, stage, monkeypatch):
     # A stream call whose facts nothing on the way to the goal reads would
     # only spend its time (an IK solve, for a reach).  A schema is on the
     # way when it adds what the goal or another such schema reads, and a
     # stream when each fact it certifies is read on the way.
+    priced = []
+    for module in DOMAINS.values():
+        def record(chain, *args, cost=module.chain_cost):
+            priced.append(chain)
+            return cost(chain, *args)
+        monkeypatch.setattr(module, "chain_cost", record)
     problem, resolved = case_problem(scenario, stage)
     read = {g[0] for g in problem.goal}
     while True:
@@ -163,6 +170,12 @@ def test_every_certified_fact_is_read(scenario, stage):
     assert {name: preds for name, preds in unread.items() if preds} == {}
     unused = {s.name for s, _ in grounded if not any(f[0] in read for f in s.add)}
     assert unused == set()
+    # The same solve prices only links that can fail, and each patch names
+    # the contact it models.
+    links = [joint for chain in priced for joint, _ in chain.joints]
+    assert links
+    assert all(isinstance(j, (CircularPatchJoint, PolygonPatchJoint, ArmJoint)) for j in links)
+    assert all(j.contact_frame for j in links if not isinstance(j, ArmJoint))
 
 
 @every_stage

@@ -11,7 +11,6 @@ from forceplan.stability import (
     CircularPatchJoint,
     ForcefulKinematicChain,
     PolygonPatchJoint,
-    RigidJoint,
     chain_stable,
     friction_cone_generators,
     friction_cone_generators_batch,
@@ -230,10 +229,6 @@ class TestFrictionCone:
 
 
 class TestJointStable:
-    def test_rigid_always_stable(self):
-        verdict = joint_stable(RigidJoint(), Wrench([1e5, 0, 0], [0, 0, 1e4]))
-        assert verdict.stable and verdict.margin == 1.0
-
     def test_circular_patch_tension_unstable(self):
         joint = CircularPatchJoint(mu=0.8, radius_r=0.03, normal_force_N=15.0)
         verdict = joint_stable(joint, Wrench([0, 0, 1.0], [0, 0, 0]))
