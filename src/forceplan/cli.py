@@ -207,6 +207,11 @@ def cmd_robustness(args) -> int:
     else:
         rows = _nut_rows(world, resolved, spec, grid)
         sweep_label = "ballast mass sweep"
+    if not rows:
+        raise ConfigError(
+            f"nothing to sweep: the stage offers no route and "
+            f"'{resolved.scene['arms'][0]}' reaches no strategy"
+        )
     methods = list(dict.fromkeys(m for _, m, _, _ in rows))
     print(f"{sweep_label}, {spec.samples} samples per point")
     for method in methods:

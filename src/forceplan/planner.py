@@ -308,6 +308,12 @@ def _diagnose(problem, facts, table, cap=None):
             if not any(_match(pat, f, {}) is not None for f in facts.get(pat[0], ())):
                 notes.append(f"{schema.name}: no fact matches {_pretty(pat)}")
                 break
+    supplied = {f[0] for f in problem.init}
+    supplied |= {f[0] for schema in problem.schemas for f in schema.add}
+    for schema in problem.schemas:
+        for pat in schema.fluent_pre:
+            if pat[0] not in supplied:
+                notes.append(f"{schema.name}: no action adds {_pretty(pat)}")
     achievable = set(problem.init)
     for ga in table.values():
         if not math.isinf(ga.cost):

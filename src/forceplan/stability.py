@@ -33,7 +33,9 @@ Batched verdicts
 ``circular_patch_verdicts`` and ``polygon_patch_verdicts`` give the
 verdicts of ``joint_stable`` for many perturbed copies of one patch at
 once, with the same arithmetic, so they agree with it exactly.  They skip
-the margins, which a verdict never needs.
+the margins, which a verdict never needs.  A polygon patch, scalar or
+batched, is settled by ``in_convex_cone``, the one NNLS cone test; scipy
+is imported at its first call, so a chain without polygons never loads it.
 """
 
 from __future__ import annotations
@@ -238,14 +240,13 @@ def friction_cone_generators(joint: PolygonPatchJoint) -> np.ndarray:
     Each loaded corner contributes the four edge directions of its
     linearized friction pyramid, scaled by the corner normal force and
     mapped to the patch frame with the corner lever arm.  Corners with
-    zero normal force are dropped; with zero friction the four edges
-    coincide and a single normal generator is kept.
+    zero normal force are dropped.  The rule holds at every friction: with
+    zero friction the four edges coincide, which spans the same cone as
+    one normal generator.
     """
     rows = []
     mu = joint.mu
     directions = [(mu, 0.0), (-mu, 0.0), (0.0, mu), (0.0, -mu)]
-    if mu == 0.0:
-        directions = [(0.0, 0.0)]
     for corner, n_force in zip(joint.corners, joint.corner_normal_forces):
         if n_force <= 0.0:
             continue
@@ -262,9 +263,7 @@ def friction_cone_generators_batch(mu, corners, normal_forces) -> np.ndarray:
 
     Sample s has friction ``mu[s]`` and corners ``corners[s]`` (shape
     (S, m, 3)); the corner normal forces are shared.  Row s equals the
-    scalar generators bit for bit wherever ``mu[s] != 0``; a frictionless
-    sample keeps one generator per corner, so take those from the scalar
-    function.
+    scalar generators bit for bit at every friction.
     """
     loaded = ~(normal_forces <= 0.0)
     n_force = normal_forces[loaded][None, :, None]
@@ -283,41 +282,34 @@ def friction_cone_generators_batch(mu, corners, normal_forces) -> np.ndarray:
     return out.reshape(len(mu), 4 * n_force.size, 6)
 
 
-def _cone_feasible(w: np.ndarray, generators: np.ndarray):
-    """NNLS phase-1 feasibility of w = sum(lambda_i g_i), lambda >= 0.
-
-    Returns (feasible, residual) with the residual measured after scaling
-    w to unit norm, so the tolerance is relative.  scipy is imported here,
-    at the first cone, because nothing else on the solve path needs it.
-    """
-    from scipy.optimize import nnls
-
-    scale = np.linalg.norm(w)
-    if scale <= _CONE_TOL:
-        return True, 0.0
-    w_n = w / scale
-    norms = np.linalg.norm(generators, axis=1)
-    keep = norms > 0.0
-    if not np.any(keep):
-        return False, 1.0
-    basis = generators[keep] / norms[keep, None]
-    _, residual = nnls(basis.T, w_n)
-    return residual <= _CONE_TOL, residual
-
-
 def in_convex_cone(w, generators):
     """Membership of ``w`` in the nonnegative span of ``generators``.
 
-    Returns ``(feasible, margin)``.  Conic feasibility is scale invariant,
-    so a feasible wrench reports the cap margin of 1; an infeasible
-    wrench reports the negated normalized cone residual.
+    This is the one cone test, for the scalar check and the batched
+    verdicts alike: an NNLS phase-1 feasibility of w = sum(lambda_i g_i),
+    lambda >= 0, with w scaled to unit norm and each generator to unit
+    length, so the tolerance on the residual is relative.  Returns
+    ``(feasible, margin)``.  Conic feasibility is scale invariant, so a
+    feasible wrench reports the cap margin of 1; an infeasible wrench
+    reports the negated residual.  scipy is imported here, at the first
+    cone, because nothing else on the solve path needs it.
     """
+    from scipy.optimize import nnls
+
     w = np.asarray(w, dtype=float).reshape(-1)
     generators = np.asarray(generators, dtype=float)
     if generators.size == 0:
         generators = np.zeros((0, w.shape[0]))
-    feasible, residual = _cone_feasible(w, generators)
-    return (True, 1.0) if feasible else (False, -residual)
+    scale = np.linalg.norm(w)
+    if scale <= _CONE_TOL:
+        return True, 1.0
+    norms = np.linalg.norm(generators, axis=1)
+    keep = norms > 0.0
+    if not np.any(keep):
+        return False, -1.0
+    basis = generators[keep] / norms[keep, None]
+    _, residual = nnls(basis.T, w / scale)
+    return (True, 1.0) if residual <= _CONE_TOL else (False, -residual)
 
 
 def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
@@ -325,18 +317,12 @@ def polygon_patch_verdicts(mu, corners, normal_forces, wrenches) -> np.ndarray:
 
     Sample s is the patch with ``mu[s]`` and ``corners[s]`` transmitting
     ``wrenches[s]`` (force over torque).  Only the verdict is computed:
-    one NNLS feasibility test per sample, as in ``in_convex_cone``.
+    one ``in_convex_cone`` test per sample.
     """
     generators = friction_cone_generators_batch(mu, corners, normal_forces)
-    verdicts = np.empty(len(mu), dtype=bool)
-    for s in range(len(mu)):
-        g = generators[s]
-        if mu[s] == 0.0:
-            g = friction_cone_generators(
-                PolygonPatchJoint(mu[s], corners[s], normal_forces)
-            )
-        verdicts[s] = _cone_feasible(-wrenches[s], g)[0]
-    return verdicts
+    return np.array(
+        [in_convex_cone(-w, g)[0] for w, g in zip(wrenches, generators)], dtype=bool
+    )
 
 
 def _circular_patch_stable(joint: CircularPatchJoint, w: Wrench) -> StabilityVerdict:
@@ -355,8 +341,7 @@ def _polygon_patch_stable(joint: PolygonPatchJoint, w: Wrench) -> StabilityVerdi
     if p is not None:
         w = Wrench(w.force + p.force, w.torque + p.torque)
     generators = friction_cone_generators(joint)
-    feasible, margin = in_convex_cone(-w.as_array(), generators)
-    return StabilityVerdict(feasible and margin > 0.0, margin)
+    return StabilityVerdict(*in_convex_cone(-w.as_array(), generators))
 
 
 def torque_stable(arm: robot.SerialArm, q, w: Wrench) -> StabilityVerdict:

@@ -38,7 +38,8 @@ def test_layer_hooks_see_a_solve(spans, capsys):
     calls = Counter(span[0] for span in tracer.spans)
     # build_world and build_problem, each through the domain module.
     assert calls["domains.build"] == 2
-    for name in ("domains.chain_cost", "planner.cost_fn", "robot.ik", "robustness.estimate"):
+    for name in ("domains.chain_cost", "planner.cost_fn", "robot.ik", "robustness.estimate",
+                 "stability.cone"):
         assert calls[name] > 0, name
 
 

@@ -130,6 +130,19 @@ class TestSolve:
             " first twist-nut--finger-twist--rest-hold(arm0, q)"
         )
 
+    def test_no_plan_names_a_precondition_no_action_adds(self, tmp_path, capsys):
+        # One arm with no fixture and no friction route offers no twist, so
+        # nothing loosens the cap that removing it needs.
+        scenario = tmp_path / "one-arm.json"
+        scenario.write_text(
+            '{"domain": "bottle-cap", "disable": ["table-friction", "mat-friction",'
+            ' "vise-hold"], "scene": {"arms": ["arm0"]}}'
+        )
+        assert main(["solve", str(scenario)]) == 2
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "  remove-cap: no action adds (CapLoose)"
+        )
+
     def test_plan_that_fails_revalidation_exits_2(self, tmp_path, capsys, monkeypatch):
         # Each call prices a little higher, so no action re-prices to the
         # cost the search paid for it.
@@ -381,16 +394,22 @@ class TestRobustness:
                 ["table-friction", "mat-friction", "arm-hold", "vise-hold"],
             ),
             ("nut-fastening", '"scene": {"beam_center_xy": [3.0, 3.0]}', 0, ["weight-hold"]),
+            (
+                "bottle-cap",
+                '"disable": ["table-friction", "mat-friction", "arm-hold", "vise-hold"],'
+                ' "scene": {"bottle_xy": [3.0, 3.0]}',
+                1, "nothing to sweep",
+            ),
         ],
         ids=["bottle-no-arms", "nut-no-arms", "nut-no-spots", "nut-no-weight-hold",
-             "bottle-unreachable", "nut-unreachable"],
+             "bottle-unreachable", "nut-unreachable", "bottle-nothing-to-sweep"],
     )
     def test_scenes_without_a_usable_arm_or_spot(
         self, tmp_path, capsys, domain, entries, code, shown
     ):
         # A method whose hand target the arm cannot reach is left out; no
-        # arm at all, no weight spot to sweep, or a disabled weight hold is
-        # a scenario error.
+        # arm at all, no weight spot to sweep, a disabled weight hold, or
+        # no method left at all is a scenario error.
         bad = tmp_path / "scene.json"
         bad.write_text(f'{{"domain": "{domain}", {entries}}}')
         out = tmp_path / "rob.csv"

@@ -146,8 +146,11 @@ class TestFrictionCone:
             corner_normal_forces=[1.0, 1.0, 1.0, 1.0],
         )
         gens = friction_cone_generators(joint)
-        assert gens.shape == (4, 6)
-        np.testing.assert_allclose(gens[:, :3], [[0, 0, 1]] * 4, atol=1e-12)
+        # The four pyramid edges of each corner coincide.
+        assert gens.shape == (16, 6)
+        np.testing.assert_allclose(gens[:, :3], [[0, 0, 1]] * 16, atol=1e-12)
+        for corner in gens.reshape(4, 4, 6):
+            np.testing.assert_array_equal(corner, corner[[0, 0, 0, 0]])
         moments = {tuple(np.round(g[3:5], 12)) for g in gens}
         assert moments == {(1.0, -1.0), (-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)}
 
@@ -193,8 +196,6 @@ class TestFrictionCone:
             mu[::7] = -0.0
             batch = friction_cone_generators_batch(mu, corners, forces)
             for s in range(40):
-                if mu[s] == 0.0:
-                    continue
                 scalar = friction_cone_generators(
                     PolygonPatchJoint(mu[s], corners[s], forces)
                 )
